@@ -1,9 +1,8 @@
-// The benchmark suite's case groups, one register function per bench/
-// binary. Each bench_<group>.cpp main registers exactly its own group and
-// delegates to core::bench_main(); `bsm_cli bench` calls register_all()
-// and so runs the full suite. Case names are "<group>/<case>"; every
-// group also registers a "<group>/smoke" case small enough for CI's
-// bench smoke job (--filter smoke).
+// The benchmark suite's case groups, one register function each.
+// `bsm_cli bench` calls register_all() and so runs the full suite;
+// `--filter '^<group>/'` narrows it to one group. Case names are
+// "<group>/<case>"; every group also registers a "<group>/smoke" case
+// small enough for CI's bench smoke job (--filter smoke).
 #pragma once
 
 namespace bsm::benchcases {

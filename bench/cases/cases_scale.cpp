@@ -131,7 +131,9 @@ class RingFlooder final : public net::Process {
     for (const auto& env : inbox) h = hash_combine(h, env.from);
     const PartyId self = ctx.self();
     Bytes payload(8);
-    for (int i = 0; i < 8; ++i) payload[i] = static_cast<std::uint8_t>(self >> (8 * i));
+    for (int i = 0; i < 8; ++i) {
+      payload[i] = static_cast<std::uint8_t>(std::uint64_t{self} >> (8 * i));
+    }
     ctx.send((self + 1) % ctx.topology().n(), payload);
   }
 };

@@ -64,11 +64,9 @@ struct FlagSpec {
 /// (when set) receives every non-flag token — subcommands without it
 /// reject positionals as unknown arguments.
 struct Subcommand {
-  std::string name;        ///< "sweep"; used in usage lines and error messages
-  std::string summary;     ///< one-liner for the top-level help index
-  std::string intro;       ///< paragraph above the flag table in help
-  std::string usage_line;  ///< override for help_text's usage (standalone tools);
-                           ///< "" = the default "bsm_cli <name> [flags]"
+  std::string name;     ///< "sweep"; used in usage lines and error messages
+  std::string summary;  ///< one-liner for the top-level help index
+  std::string intro;    ///< paragraph above the flag table in help
 
   std::vector<FlagSpec> flags;
 

@@ -186,10 +186,10 @@ cli::Subcommand bench_subcommand(BenchCliState& state) {
   sub.name = "bench";
   sub.summary = "run the benchmark suite, emit BENCH_results.json on stdout";
   sub.intro =
-      "runs every registered benchmark case group — the same cases\n"
-      "the bench/ binaries run — and prints the versioned BENCH_results.json\n"
-      "schema, documented in docs/BENCHMARKS.md, on stdout; exit 0 iff every\n"
-      "case was ok and deterministic, 1 on a failed case, 2 on a usage error";
+      "runs every registered benchmark case group (--filter '^group/'\n"
+      "selects one) and prints the versioned BENCH_results.json schema,\n"
+      "documented in docs/BENCHMARKS.md, on stdout; exit 0 iff every case\n"
+      "was ok and deterministic, 1 on a failed case, 2 on a usage error";
   sub.flags = {
       cli::value_flag("--threads", "N",
                       "worker threads for parallel cases (default: 0 = hardware)",
@@ -212,8 +212,10 @@ cli::Subcommand bench_subcommand(BenchCliState& state) {
                         return std::nullopt;
                       }),
       cli::value_flag("--json", "PATH|-",
-                      "write BENCH_results.json to PATH ('-' = stdout)",
+                      "write BENCH_results.json to PATH and a summary to stdout\n"
+                      "                        (default: '-' = JSON on stdout)",
                       [&state](const std::string& v) -> std::optional<std::string> {
+                        if (v.empty()) return "expected a file path or -";
                         state.json_path = v;
                         return std::nullopt;
                       }),
@@ -223,11 +225,9 @@ cli::Subcommand bench_subcommand(BenchCliState& state) {
   return sub;
 }
 
-int bench_main(int argc, char** argv, const BenchMainConfig& cfg) {
+int bench_main(int argc, char** argv) {
   BenchCliState state;
-  state.json_path = cfg.default_json;
-  cli::Subcommand sub = bench_subcommand(state);
-  sub.usage_line = std::string(argv[0]) + " [flags]";
+  const cli::Subcommand sub = bench_subcommand(state);
   switch (cli::parse_flags(sub, argc, argv, 1, std::cerr)) {
     case cli::ParseStatus::Help: return 0;
     case cli::ParseStatus::Error: return 2;
@@ -258,15 +258,13 @@ int bench_main(int argc, char** argv, const BenchMainConfig& cfg) {
   if (json_path == "-") {
     std::cout << reporter.render(results);
   } else {
-    if (!json_path.empty()) {
-      std::ofstream f(json_path);
-      if (!f) {
-        std::cerr << "cannot write " << json_path << "\n";
-        return 2;
-      }
-      f << reporter.render(results);
+    std::ofstream f(json_path);
+    if (!f) {
+      std::cerr << "cannot write " << json_path << "\n";
+      return 2;
     }
-    // Human-readable summary (stdout stays parseable when --json -).
+    f << reporter.render(results);
+    // With the JSON in a file, stdout gets a human-readable summary.
     for (const auto& r : results) {
       std::printf("%-44s  median %10.3f ms", r.name.c_str(), r.median_ms);
       if (r.cells_per_sec > 0.0) std::printf("  %12.1f cells/s", r.cells_per_sec);

@@ -1,6 +1,6 @@
 // Unified benchmark harness — the repo's single measurement surface.
 //
-// Every bench/ binary and `bsm_cli bench` funnels through this subsystem:
+// `bsm_cli bench` funnels every benchmark through this subsystem:
 // a BenchCase names a deterministic workload (usually a run_cells() /
 // run_sweep() fan-out or a run_bsm() experiment), the harness times it
 // with a steady clock under a shared warmup/repeat policy, and the
@@ -71,7 +71,7 @@ struct BenchRun {
 /// One registered benchmark: a name ("group/case"), the cell factory that
 /// executes the workload, and the repeat/warmup policy.
 struct BenchCase {
-  std::string name;  ///< "group/case"; groups mirror the bench/ binaries
+  std::string name;  ///< "group/case"; one group per bench/cases register function
   std::function<BenchRun(const BenchContext&)> run;
   int repeats = 3;  ///< measured executions (overridden by --repeats)
   int warmup = 1;   ///< untimed executions before measurement
@@ -91,8 +91,7 @@ struct BenchResult {
   bool deterministic = true;   ///< all repeats produced identical BenchRuns
 };
 
-/// Process-wide case registry. Bench binaries register their group at the
-/// top of main(); `bsm_cli bench` registers every group (see
+/// Process-wide case registry. `bsm_cli bench` registers every group (see
 /// bench/cases/cases.hpp) and so runs the full suite.
 class BenchRegistry {
  public:
@@ -153,8 +152,8 @@ class JsonReporter {
 /// The option state bench_main's flag table binds to.
 struct BenchCliState {
   BenchOptions opts;
-  std::string json_path;  ///< --json target; "" = human summary, "-" = stdout
-  bool list = false;      ///< --list: print case names and exit
+  std::string json_path = "-";  ///< --json target; "-" = stdout
+  bool list = false;            ///< --list: print case names and exit
 };
 
 /// The declarative bench flag table (see common/cli_options.hpp), bound to
@@ -162,22 +161,16 @@ struct BenchCliState {
 /// top-level help so the table is the single source of bench flags.
 [[nodiscard]] cli::Subcommand bench_subcommand(BenchCliState& state);
 
-/// Behaviour knobs for bench_main (the shared CLI entry point).
-struct BenchMainConfig {
-  /// Where JSON goes when --json is not given: empty = print a human
-  /// summary instead; "-" = JSON on stdout (what `bsm_cli bench` wants).
-  std::string default_json;
-};
-
-/// Shared main() for every bench binary and for `bsm_cli bench`:
+/// `bsm_cli bench`: parse argv[1, argc) and run the registered cases.
 ///   --threads N       worker threads for parallel cases (0 = hardware)
 ///   --repeats N       override every case's repeat count
 ///   --filter REGEX    run only cases whose name matches
-///   --json PATH|-     write BENCH_results.json to PATH (or stdout)
+///   --json PATH|-     write BENCH_results.json to PATH plus a human
+///                     summary on stdout ('-' = JSON on stdout, the default)
 ///   --list            print registered case names and exit
 ///   --help            usage
 /// Exits 0 when every selected case was ok and deterministic, 1 on a
 /// failed case, 2 on a usage error (unknown flag, bad value, bad regex).
-int bench_main(int argc, char** argv, const BenchMainConfig& cfg = {});
+int bench_main(int argc, char** argv);
 
 }  // namespace bsm::core

@@ -22,16 +22,17 @@ namespace bsm::core {
 
 /// Version of the shared envelope (and of every report schema built on
 /// it). v1 was the bench-only schema; v2 added the subcommand field and
-/// extended the envelope to sweep/explore/fuzz and the sweep JSONL header.
+/// extended the envelope to sweep/explore/fuzz and the sweep JSONL header;
+/// v3 dropped the sweep summary's persisted oracle-cache load/save counts.
 /// Bump on any breaking change to a report shape.
-inline constexpr int kJsonSchemaVersion = 2;
+inline constexpr int kJsonSchemaVersion = 3;
 
 /// Worker-count resolution shared by every report: 0 = hardware
 /// concurrency (>= 1).
 [[nodiscard]] unsigned resolve_report_threads(unsigned requested) noexcept;
 
 /// The envelope rendered as a JSON object *fragment* (no braces), ready to
-/// lead a report: `"schema_version": 2, "subcommand": "sweep",
+/// lead a report: `"schema_version": 3, "subcommand": "sweep",
 /// "git_sha": "...", "threads": 8`. `threads` is resolved via
 /// resolve_report_threads. Pass include_threads = false for the JSONL
 /// header (see above).

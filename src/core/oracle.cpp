@@ -167,21 +167,6 @@ void OracleCache::clear() {
   }
 }
 
-bool OracleCache::preload(const OracleKey& key, bool is_solvable,
-                          const std::optional<ProtocolSpec>& protocol) {
-  Shard& shard = shard_for(key.digest());
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.entries.try_emplace(key, Entry{is_solvable, protocol}).second;
-}
-
-void OracleCache::for_each(const std::function<void(const OracleKey&, bool,
-                                                    const std::optional<ProtocolSpec>&)>& fn) const {
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, entry] : shard.entries) fn(key, entry.solvable, entry.protocol);
-  }
-}
-
 OracleCache& OracleCache::global() {
   static OracleCache cache;
   return cache;

@@ -30,16 +30,9 @@
 // The nondeterministic facts a run still wants to report — wall time,
 // scheduler shape, oracle-cache hit rates — go in the `bsm_cli sweep`
 // stdout report, never in the stream.
-//
-// The persisted OracleCache (save/load below) is the cross-process half of
-// the sweep layer's memoization: one content-addressed file per canonical
-// setting (OracleKey digest), so N shard processes — or N CI jobs sharing
-// an actions/cache directory — each pay the derivation for a setting at
-// most once, fleet-wide.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -168,42 +161,5 @@ struct FileStreamResult {
 /// particular, merging a single complete 1/1 document is the identity.
 [[nodiscard]] std::optional<std::string> merge_jsonl(const std::vector<std::string>& shard_docs,
                                                      std::string* error);
-
-// ------------------------------------------------- persisted oracle cache
-
-/// Load every persisted entry under `dir` (files written by
-/// save_oracle_cache) into `cache`. Returns the number of entries
-/// preloaded; unreadable or malformed files are skipped, and a missing
-/// directory is simply zero entries (first run of a fleet).
-std::size_t load_oracle_cache(OracleCache& cache, const std::string& dir);
-
-/// Retry/backoff knobs for the transient-filesystem-error handling around
-/// oracle-cache persistence. The cache is an optimization, so a file that
-/// still fails after `attempts` tries is logged and skipped — never an
-/// abort. Delays are bounded, doubled per retry, and jittered from
-/// `jitter_seed` (deterministic: no wall clock involved). Tests inject
-/// `sleep` (recording delays instead of sleeping) and `fail_op` (forcing
-/// the Nth filesystem operation to fail) to pin the behavior down without
-/// real transient errors.
-struct SaveRetryOptions {
-  std::uint32_t attempts = 3;       ///< tries per filesystem operation (>= 1)
-  std::uint32_t base_delay_ms = 1;  ///< first backoff; doubles per retry
-  std::uint32_t max_delay_ms = 50;  ///< backoff ceiling (after jitter)
-  std::uint64_t jitter_seed = 0;    ///< seeds the deterministic jitter
-  std::function<void(std::uint32_t delay_ms)> sleep;  ///< null = real sleep
-  std::function<bool(std::size_t op_index)> fail_op;  ///< test hook: true = force failure
-  std::ostream* log = nullptr;      ///< skip messages land here (null = silent)
-};
-
-/// Persist every entry of `cache` to `dir`, one content-addressed file per
-/// canonical setting (`<OracleKey digest hex>.okv`, codec-encoded).
-/// Existing files are skipped, so concurrent shard processes saving into a
-/// shared directory converge instead of clobbering. Each file is written
-/// to a `.okv.tmp` sibling and renamed into place (readers never see a
-/// torn file); both the write and the rename retry per `retry` on
-/// transient errors, and a file that still fails is logged and skipped.
-/// Returns files written.
-std::size_t save_oracle_cache(const OracleCache& cache, const std::string& dir,
-                              const SaveRetryOptions& retry = {});
 
 }  // namespace bsm::core

@@ -51,30 +51,26 @@ enum class Span : std::uint8_t {
   ShardEmit,        ///< one block's JSONL cell-line rendering + write
   ShardCheckpoint,  ///< one checkpoint line rendering + write
   ShardFlush,       ///< ostream flush at a block boundary
-  OkvSave,          ///< oracle-cache .okv save (encode + rename)
-  OkvLoad,          ///< oracle-cache .okv load (read + decode + preload)
   SchedEval,        ///< one schedule evaluation (explore/fuzz exec)
 };
-inline constexpr std::size_t kSpanKinds = 14;
+inline constexpr std::size_t kSpanKinds = 12;
 
 /// Monotonic counters. Keys are pinned by the `metrics` schema.
 enum class Counter : std::uint8_t {
-  EngineRounds,      ///< engine rounds stepped (all engines)
-  CellsDone,         ///< sweep cells completed
-  Chunks,            ///< scheduler chunks executed
-  Steals,            ///< chunks executed by a non-owner worker
-  IdleExits,         ///< workers that found every deque empty and left
-  OracleHits,        ///< oracle cache hits
-  OracleMisses,      ///< oracle cache misses
-  OracleInserts,     ///< oracle cache inserts won
-  CellsEmitted,      ///< JSONL cell lines written
-  Checkpoints,       ///< JSONL checkpoint lines written
-  Flushes,           ///< block-boundary flushes
-  OkvSavedEntries,   ///< oracle entries written to .okv files
-  OkvLoadedEntries,  ///< oracle entries loaded from .okv files
-  Evals,             ///< schedule evaluations (explore/fuzz)
+  EngineRounds,   ///< engine rounds stepped (all engines)
+  CellsDone,      ///< sweep cells completed
+  Chunks,         ///< scheduler chunks executed
+  Steals,         ///< chunks executed by a non-owner worker
+  IdleExits,      ///< workers that found every deque empty and left
+  OracleHits,     ///< oracle cache hits
+  OracleMisses,   ///< oracle cache misses
+  OracleInserts,  ///< oracle cache inserts won
+  CellsEmitted,   ///< JSONL cell lines written
+  Checkpoints,    ///< JSONL checkpoint lines written
+  Flushes,        ///< block-boundary flushes
+  Evals,          ///< schedule evaluations (explore/fuzz)
 };
-inline constexpr std::size_t kCounterKinds = 14;
+inline constexpr std::size_t kCounterKinds = 12;
 
 /// Trace-facing span name, e.g. "engine/assemble".
 [[nodiscard]] const char* span_name(Span s) noexcept;
@@ -166,8 +162,9 @@ class Recorder {
   [[nodiscard]] std::string chrome_trace_json() const;
 
   /// The versioned single-line `metrics` object appended to JSON
-  /// envelope reports: {"version": 1, "spans": ..., "spans_dropped":
-  /// ..., "counters": {...}, "histograms": {...}}.
+  /// envelope reports: {"version": 2, "spans": ..., "spans_dropped":
+  /// ..., "counters": {...}, "histograms": {...}}. v2 dropped the span
+  /// and counter keys of the deleted persisted oracle cache.
   [[nodiscard]] std::string metrics_json() const;
 
  private:

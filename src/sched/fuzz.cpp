@@ -418,12 +418,13 @@ std::vector<ScheduleTrace> Fuzzer::load_corpus(const std::string& dir) {
 
 std::size_t Fuzzer::save_corpus(const std::string& dir, const std::vector<ScheduleTrace>& traces) {
   if (dir.empty()) return 0;
-  fs::create_directories(dir);
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  if (ec) return 0;  // a file in the way, or no permission: nothing to save into
   std::size_t written = 0;
   for (const ScheduleTrace& trace : traces) {
     if (trace.empty()) continue;
     const fs::path path = fs::path(dir) / digest_name(trace);
-    std::error_code ec;
     if (fs::exists(path, ec)) continue;  // content-addressed: already persisted
     std::ofstream out(path);
     if (!out) continue;

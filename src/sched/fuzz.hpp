@@ -160,7 +160,8 @@ class Fuzzer {
 
   /// Write each non-empty trace to `dir/<16-hex digest>.trace`, creating
   /// `dir` as needed; existing digests are skipped (content-addressed
-  /// dedup). Returns the number of new files written.
+  /// dedup). Returns the number of new files written — zero, never a
+  /// throw, when `dir` cannot be created.
   static std::size_t save_corpus(const std::string& dir,
                                  const std::vector<ScheduleTrace>& traces);
 

@@ -4,7 +4,9 @@
 //   an unknown flag on any subcommand path exits 2 and names the flag;
 //   `explore` emits schema-shaped JSON and exits 0 on a satisfied search;
 //   `fuzz` emits schema-shaped JSON, exits 1 on a violation, and its
-//   counterexample replays through `fuzz --replay`.
+//   counterexample replays through `fuzz --replay`;
+//   unusable paths (a directory to merge, a file in the way of --corpus,
+//   an unwritable --trace-out) exit 2 with a one-line error, never abort.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -248,6 +250,28 @@ TEST(CliContract, MergeWithNoInputsExitsTwo) {
   EXPECT_EQ(result.exit_code, 2);
 }
 
+TEST(CliContract, UnusablePathsExitTwoWithAOneLineError) {
+  // A directory to merge, and a file in the way of --corpus (checked before
+  // the campaign runs), must be structured errors, never an abort.
+  const fs::path dir = fs::temp_directory_path() / "bsm_cli_contract_paths";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string file = (dir / "file").string();
+  std::ofstream(file) << "not a directory\n";
+  const std::string fuzz = "fuzz --k 2 --tl 1 --tr 0 --max-execs 8 --corpus ";
+  const std::pair<std::string, std::string> cases[] = {
+      {"merge " + dir.string(), "merge: cannot read " + dir.string() + " (not a regular file)\n"},
+      {fuzz + file, "fuzz: cannot create --corpus directory: " + file + "\n"},
+      {fuzz + file + "/nested", "fuzz: cannot create --corpus directory: " + file + "/nested\n"},
+  };
+  for (const auto& [args, error] : cases) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
+    EXPECT_EQ(result.output, error) << args;
+  }
+  fs::remove_all(dir);
+}
+
 TEST(CliContract, ShardedSweepMergesByteIdenticalAndResumes) {
   // End-to-end through the real binary: a 2-way shard split of a small
   // grid, merged, must byte-match the 1/1 file; a truncated shard rerun
@@ -335,7 +359,7 @@ TEST(CliContract, RecorderOnOutputBytesAreIdenticalOutsideMetrics) {
     const auto plain = run_cli(grid + threads);
     const auto observed = run_cli(grid + threads + " --metrics --trace-out " + trace_path);
     EXPECT_EQ(plain.exit_code, observed.exit_code) << threads;
-    EXPECT_NE(observed.output.find("\n  \"metrics\": {\"version\": 1, "), std::string::npos)
+    EXPECT_NE(observed.output.find("\n  \"metrics\": {\"version\": 2, "), std::string::npos)
         << threads << "\n" << observed.output.substr(0, 400);
     EXPECT_EQ(strip_metrics(observed.output), plain.output)
         << threads << ": recorder-on report must be byte-identical outside metrics";
@@ -390,7 +414,7 @@ TEST(CliContract, FuzzMetricsBlockSitsAboveAllSatisfied) {
   const auto result = run_cli(
       "fuzz --k 2 --tl 1 --tr 1 --include-honest --max-execs 64 --threads 2 --metrics");
   EXPECT_EQ(result.exit_code, 0) << result.output;
-  const auto metrics_at = result.output.find("\n  \"metrics\": {\"version\": 1, ");
+  const auto metrics_at = result.output.find("\n  \"metrics\": {\"version\": 2, ");
   const auto satisfied_at = result.output.find("\"all_satisfied\": true");
   ASSERT_NE(metrics_at, std::string::npos) << result.output;
   ASSERT_NE(satisfied_at, std::string::npos) << result.output;

@@ -7,8 +7,9 @@
 //  2. Determinism — the same seed yields a field-identical FuzzReport
 //     at 1 vs N threads, violation or not.
 //  3. Corpus persistence — save/load round-trips every trace, load
-//     order is name-sorted, and re-saving writes zero new files
-//     (digest-keyed, content-addressed dedup).
+//     order is name-sorted, re-saving writes zero new files
+//     (digest-keyed, content-addressed dedup), and a directory that
+//     cannot be created saves nothing instead of throwing.
 //  4. The engineered deep violation — on k=2/tl=1/tr=0 under the liars
 //     battery (workload seed 1) the minimal beyond-envelope violation
 //     needs 3 ops (exhaustively verified: depths 1 and 2 are clean), so
@@ -22,6 +23,7 @@
 #include <stdexcept>
 #include <unistd.h>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -257,6 +259,16 @@ TEST(FuzzCorpus, SaveLoadRoundTripsAndDedups) {
 
 TEST(FuzzCorpus, MissingDirectoryIsAnEmptyCorpus) {
   EXPECT_TRUE(Fuzzer::load_corpus(fresh_dir("missing")).empty());
+}
+
+TEST(FuzzCorpus, SaveIntoAFileWritesNothingAndNeverThrows) {
+  const std::string path = fresh_dir("file_in_the_way");
+  std::ofstream(path) << "not a directory\n";
+  ScheduleTrace trace;
+  trace.ops.push_back({ScheduleOp::Kind::Drop, 1, 1, 2, 1});
+  EXPECT_EQ(Fuzzer::save_corpus(path, {trace}), 0U);
+  EXPECT_EQ(Fuzzer::save_corpus(path + "/nested", {trace}), 0U);
+  std::filesystem::remove(path);
 }
 
 TEST(FuzzCorpus, PersistsAcrossRunsAndSeedsTheNext) {

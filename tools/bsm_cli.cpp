@@ -22,6 +22,7 @@
 // the setting is unsolvable per the paper (or on a usage error); 1 on a
 // property violation (which inside the solvable region would be a library
 // bug — please report it).
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -271,7 +272,7 @@ class ObsSession {
   [[nodiscard]] bool metrics_enabled() const { return recorder_ != nullptr && emit_metrics_; }
 
   /// The single-line metrics object; finishes the session first so the
-  /// numbers cover the whole run (including cache save/load).
+  /// numbers cover the whole run.
   [[nodiscard]] std::string metrics_json() {
     finish();
     return recorder_->metrics_json();
@@ -305,7 +306,6 @@ struct SweepCli {
   core::ShardSpec shard;
   bool shard_given = false;
   bool resume = false;
-  std::string oracle_dir;
   std::uint64_t checkpoint_every = 64;
 
   ObsCli obs;
@@ -322,9 +322,8 @@ struct SweepCli {
       "shape, and the oracle-cache counters. With --out FILE.jsonl the results\n"
       "stream to FILE as JSONL — one line per cell in deterministic grid order\n"
       "with periodic checkpoint records — and stdout gets a JSON summary report;\n"
-      "--shard i/N runs one contiguous shard of the grid, --resume continues a\n"
-      "killed run from its last complete line, and --oracle-cache DIR persists\n"
-      "solvability verdicts across shard processes. Merged shard outputs are\n"
+      "--shard i/N runs one contiguous shard of the grid, and --resume continues\n"
+      "a killed run from its last complete line. Merged shard outputs are\n"
       "byte-identical to the single-process sweep (see `bsm_cli merge`).\n"
       "Exit 0 iff every solvable cell held all four properties";
   sub.flags = {
@@ -461,13 +460,6 @@ struct SweepCli {
   sub.flags.push_back(cli::flag(
       "--resume", "continue an interrupted --out run from its last complete line",
       [&o] { o.resume = true; }));
-  sub.flags.push_back(cli::value_flag(
-      "--oracle-cache", "DIR", "persist/reuse solvability verdicts across processes",
-      [&o](const std::string& v) -> std::optional<std::string> {
-        if (v.empty()) return "expected a directory path";
-        o.oracle_dir = v;
-        return std::nullopt;
-      }));
   sub.flags.push_back(bounded_flag(
       "--checkpoint-every", "N", "JSONL checkpoint period in cells (default: 64)", 1, 1'000'000,
       [&o](std::uint64_t n) { o.checkpoint_every = n; }));
@@ -514,11 +506,6 @@ int run_sweep_command(int argc, char** argv) {
     }
   }
 
-  std::size_t oracle_loaded = 0;
-  if (!o.oracle_dir.empty()) {
-    oracle_loaded = core::load_oracle_cache(core::OracleCache::global(), o.oracle_dir);
-  }
-
   if (!o.out_path.empty()) {
     core::StreamOptions sopts;
     sopts.shard = o.shard;
@@ -528,10 +515,6 @@ int run_sweep_command(int argc, char** argv) {
     if (!res.error.empty()) {
       std::cerr << "sweep: " << res.error << "\n";
       return 2;
-    }
-    std::size_t oracle_saved = 0;
-    if (!o.oracle_dir.empty()) {
-      oracle_saved = core::save_oracle_cache(core::OracleCache::global(), o.oracle_dir);
     }
     const auto& st = res.stats;
     const auto [begin, end] = o.shard.range(cells.size());
@@ -550,8 +533,6 @@ int run_sweep_command(int argc, char** argv) {
               << ", \"resumed_complete\": " << (res.resumed_complete ? "true" : "false")
               << ",\n  \"cells\": " << st.cells << ", \"ran\": " << st.ran
               << ", \"emitted\": " << st.emitted << ", \"resumed\": " << st.resumed
-              << ",\n  \"oracle_loaded\": " << oracle_loaded
-              << ", \"oracle_saved\": " << oracle_saved
               << ",\n  \"scheduler\": {\"threads\": " << st.sweep.threads
               << ", \"chunks\": " << st.sweep.chunks << ", \"steals\": " << st.sweep.steals
               << "},\n  \"oracle_cache\": {\"hits\": " << st.sweep.oracle.hits
@@ -565,9 +546,6 @@ int run_sweep_command(int argc, char** argv) {
   // Inline document (the historical sweep output; CI smoke parses it).
   core::SweepStats stats;
   const auto results = core::run_sweep(cells, o.opts, &stats);
-  if (!o.oracle_dir.empty()) {
-    (void)core::save_oracle_cache(core::OracleCache::global(), o.oracle_dir);
-  }
   std::string metrics_part;
   if (obs_session.metrics_enabled()) {
     metrics_part = "\"metrics\": " + obs_session.metrics_json() + ",\n  ";
@@ -640,6 +618,13 @@ int run_merge_command(int argc, char** argv) {
   std::vector<std::string> docs;
   docs.reserve(inputs.size());
   for (const auto& path : inputs) {
+    // libstdc++ throws from the read on EISDIR: rule out directories (and
+    // other non-regular files) before touching the stream.
+    std::error_code ec;
+    if (std::filesystem::exists(path, ec) && !std::filesystem::is_regular_file(path, ec)) {
+      std::cerr << "merge: cannot read " << path << " (not a regular file)\n";
+      return 2;
+    }
     std::ifstream in(path, std::ios::binary);
     if (!in) {
       std::cerr << "merge: cannot read " << path << "\n";
@@ -962,6 +947,17 @@ int run_fuzz_command(int argc, char** argv) {
   o.scenario.pki_seed = o.seed + 1;
   core::apply_battery(o.scenario, o.battery, o.seed);
 
+  if (!o.replay.has_value() && !o.opts.corpus_dir.empty()) {
+    // The corpus is saved only after the whole campaign: refuse an
+    // unusable directory now instead of losing the campaign's traces.
+    std::error_code ec;
+    std::filesystem::create_directories(o.opts.corpus_dir, ec);
+    if (!std::filesystem::is_directory(o.opts.corpus_dir, ec)) {
+      std::cerr << "fuzz: cannot create --corpus directory: " << o.opts.corpus_dir << "\n";
+      return 2;
+    }
+  }
+
   ObsSession obs_session;
   if (!obs_session.begin(o.obs, o.replay.has_value() ? 0 : o.opts.max_execs, obs::Counter::Evals,
                          "execs")) {
@@ -1143,7 +1139,7 @@ int run_run_command(int argc, char** argv, int first) {
   std::cout << "Verdict:   " << core::solvability_reason(opt.cfg) << "\n";
   if (!core::solvable(opt.cfg)) {
     std::cout << "This setting is IMPOSSIBLE per the paper; nothing to run.\n"
-              << "(See bench_attack_lemma5/7/13 for executable impossibility proofs.)\n";
+              << "(See `bsm_cli bench --filter '^attack_lemma'` for executable proofs.)\n";
     return 2;
   }
 
@@ -1271,9 +1267,8 @@ int main(int argc, char** argv) {
     if (sub == "explore") return run_explore_command(argc, argv);
     if (sub == "fuzz") return run_fuzz_command(argc, argv);
     if (sub == "bench") {
-      // The registered suite = every case group the bench/ binaries run.
       benchcases::register_all();
-      return core::bench_main(argc - 1, argv + 1, {.default_json = "-"});
+      return core::bench_main(argc - 1, argv + 1);
     }
     if (sub == "run") first = 2;  // explicit alias for the default mode
   }

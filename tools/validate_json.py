@@ -6,15 +6,15 @@ Usage: validate_json.py PATH [--schema bench|sweep|explore|fuzz|replay|auto]
                              [--require-no-violations] [--min-execs N]
                              [--require-metrics]
 
-Since schema v2 every report leads with the shared envelope
-(schema_version, subcommand, git_sha, and — where the document is not
-contractually byte-identical across thread counts — threads), so one
-validator can dispatch on `subcommand` instead of one script per schema
-guessing from shape. The old entry points (validate_bench_json.py,
-validate_sched_json.py, validate_explore_json.py) forward here.
+Every report leads with the shared envelope (schema_version, subcommand,
+git_sha, and — where the document is not contractually byte-identical
+across thread counts — threads), so one validator dispatches on
+`subcommand` instead of one script per schema guessing from shape. Only
+the current schema_version is accepted; there is no reader for older
+documents.
 
 Schemas (documented field-by-field in docs/BENCHMARKS.md):
-  bench    BENCH_results.json from `bsm_cli bench` / the bench/ binaries
+  bench    BENCH_results.json from `bsm_cli bench`
   sweep    `bsm_cli sweep`: the inline JSON document, the --out summary
            report, or a JSONL shard document (the three are auto-told-apart)
   explore  `bsm_cli explore` report
@@ -39,7 +39,7 @@ import json
 import re
 import sys
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DIGEST_RE = re.compile(r"^[0-9a-f]{16}$")
 SHARD_RE = re.compile(r"^[0-9]+/[0-9]+$")
@@ -181,19 +181,18 @@ def validate_bench(doc):
 # The observability recorder's versioned report block (docs/OBSERVABILITY.md),
 # optionally present on sweep/explore/fuzz reports when the run enabled
 # --metrics or --trace-out. Keys are pinned against src/obs/recorder.cpp.
-METRICS_VERSION = 1
+METRICS_VERSION = 2
 
 METRICS_COUNTER_KEYS = (
     "engine_rounds", "cells_done", "chunks", "steals", "idle_exits",
     "oracle_hits", "oracle_misses", "oracle_inserts", "cells_emitted",
-    "checkpoints", "flushes", "okv_saved_entries", "okv_loaded_entries",
-    "evals",
+    "checkpoints", "flushes", "evals",
 )
 
 METRICS_SPAN_KEYS = (
     "engine_assemble", "engine_policy", "engine_deliver", "engine_on_round",
     "sweep_chunk", "sweep_cell", "oracle_hit", "oracle_miss", "shard_emit",
-    "shard_checkpoint", "shard_flush", "okv_save", "okv_load", "sched_eval",
+    "shard_checkpoint", "shard_flush", "sched_eval",
 )
 
 METRICS_TOP_FIELDS = {
@@ -280,8 +279,6 @@ SWEEP_SUMMARY_FIELDS = {
     "ran": int,
     "emitted": int,
     "resumed": int,
-    "oracle_loaded": int,
-    "oracle_saved": int,
     "scheduler": dict,
     "oracle_cache": dict,
     "all_properties_held": bool,
@@ -682,7 +679,8 @@ def detect_schema(doc):
     if sub in ("bench", "sweep", "explore", "fuzz"):
         return sub
     # Replay documents are envelope-free by contract (byte-identical
-    # reproduction); everything else pre-envelope (v1) falls back to shape.
+    # reproduction); any other envelope-free document is told apart by
+    # shape only so its envelope errors name the right surface.
     if "replay" in doc:
         return "replay"
     if "tool" in doc:
