@@ -123,7 +123,7 @@ struct Lemma3Cost {
     engine.set_process(
         id, std::make_unique<core::GroupSimulation>(big, proto, d, id, inputs.list(id), 55));
   }
-  engine.run(proto.total_rounds + 2);
+  engine.run_guarded(proto.total_rounds + 2);
   std::vector<std::optional<PartyId>> decisions(2 * d);
   for (PartyId id = 0; id < 2 * d; ++id) {
     const auto& p = engine.process_as<core::BsmProcess>(id);

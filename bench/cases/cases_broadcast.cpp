@@ -203,7 +203,7 @@ class ChainReplaySpam final : public net::Process {
                                                   0, t, id == 0 ? value : Bytes{}, cache_on)));
     }
   }
-  engine.run(t + 2);
+  engine.run_guarded(t + 2);
 
   for (PartyId id = 0; id + 1 < n_parties; ++id) {
     const auto& host = dynamic_cast<const DsHost&>(engine.process(id));

@@ -70,7 +70,7 @@ void measure_block(BenchRun& run, std::uint32_t n_parties,
       engine.set_process(id, std::make_unique<adversary::Silent>());  // filler id, unused
     }
   }
-  engine.run(max_steps + 2);
+  engine.run_guarded(max_steps + 2);
   // decided_round_ == 0 means the instance never decided within the slack
   // (a protocol regression): fail the case without letting the unsigned
   // subtraction below wrap into the report.
@@ -243,7 +243,7 @@ void measure_channel(BenchRun& run, net::RelayMode mode, std::uint32_t k,
       engine.set_process(r, std::make_unique<Forwarder>(mode));
     }
   }
-  engine.run(6);
+  engine.run_guarded(6);
   const auto& recv = dynamic_cast<Receiver&>(engine.process(1));
   const bool delivered = recv.delivered_round_ != 0;
 

@@ -187,7 +187,7 @@ class Host final : public net::Process {
     }
   }
   const std::uint32_t steps = 3 * q->num_phases();
-  engine.run(steps + 2);
+  engine.run_guarded(steps + 2);
   std::set<Bytes> outputs;
   for (PartyId id = 0; id < 2 * k; ++id) {
     if (byz_set.contains(id)) continue;
@@ -294,7 +294,7 @@ class SuggestionForger final : public net::Process {
     }
   }
   engine.set_corrupt(0, std::make_unique<SuggestionForger>(k));
-  engine.run(proto.total_rounds + 2);
+  engine.run_guarded(proto.total_rounds + 2);
 
   std::vector<std::optional<PartyId>> decisions(2 * k);
   for (PartyId id = 0; id < 2 * k; ++id) {

@@ -5,7 +5,7 @@ namespace bsm::adversary {
 void RandomNoise::on_round(net::Context& ctx, net::Inbox) {
   const auto neighbors = ctx.topology().neighbors(ctx.self());
   if (neighbors.empty()) return;
-  for (std::uint32_t i = 0; i < per_round_; ++i) {
+  for (std::uint32_t i = 0; i < burst_; ++i) {
     const PartyId to = neighbors[rng_.below(neighbors.size())];
     ctx.send(to, rng_.random_bytes(1 + rng_.below(max_len_)));
   }

@@ -42,18 +42,18 @@ class CrashAt final : public net::Process {
   std::unique_ptr<net::Process> inner_;
 };
 
-/// Sprays well-addressed random bytes at random neighbors each round:
-/// exercises every decoder's resilience to garbage.
+/// Sprays a burst of well-addressed random bytes at random neighbors each
+/// round: exercises every decoder's resilience to garbage.
 class RandomNoise final : public net::Process {
  public:
-  RandomNoise(std::uint64_t seed, std::uint32_t messages_per_round, std::size_t max_len = 64)
-      : rng_(seed), per_round_(messages_per_round), max_len_(max_len) {}
+  RandomNoise(std::uint64_t seed, std::uint32_t burst, std::size_t max_len = 64)
+      : rng_(seed), burst_(burst), max_len_(max_len) {}
 
   void on_round(net::Context& ctx, net::Inbox) override;
 
  private:
   Rng rng_;
-  std::uint32_t per_round_;
+  std::uint32_t burst_;  ///< messages sent each round
   std::size_t max_len_;
 };
 

@@ -163,7 +163,7 @@ RoommatesRunOutcome run_roommates(RoommatesRunSpec spec) {
   }
 
   const Round rounds = RoommatesBtm::total_rounds(cfg) + 2;
-  engine.run(rounds);
+  engine.run_guarded(rounds);
 
   RoommatesRunOutcome out;
   out.rounds = rounds;

@@ -27,7 +27,7 @@ AssembledRun assemble_run(RunSpec spec) {
   require(spec.inputs.k() == cfg.k, "run_bsm: inputs sized for a different market");
   const ProtocolSpec proto = spec_for(spec);
 
-  net::Engine engine(net::Topology(cfg.topology, cfg.k), spec.pki_seed, spec.stats_mode);
+  net::Engine engine(net::Topology(cfg.topology, cfg.k), spec.pki_seed);
   if (spec.policy != nullptr) engine.set_delivery_policy(std::move(spec.policy));
 
   for (PartyId id = 0; id < cfg.n(); ++id) {
@@ -69,8 +69,9 @@ RunOutcome collect_outcome(const AssembledRun& run) {
     }
   }
   out.terminated = all_decided;
-  // Snapshot liveness measure: the engine rounds consumed so far. run_bsm()
-  // overwrites this with the exact first-all-decided watermark.
+  // Snapshot liveness measure: the engine rounds consumed so far.
+  // run_assembled() overwrites this with the exact first-all-decided
+  // watermark.
   out.rounds_to_termination = all_decided ? engine.engine_rounds() : 0;
   out.report = check_bsm(cfg.k, out.corrupt, run.inputs, out.decisions);
   return out;
@@ -88,22 +89,23 @@ namespace {
 
 }  // namespace
 
-RunOutcome run_bsm(RunSpec spec) {
-  const Round max_rounds = spec.max_rounds;
-  AssembledRun run = assemble_run(std::move(spec));
+Round engine_round_cap(const AssembledRun& run, Round rounds, Round max_rounds) {
+  if (max_rounds != 0) return max_rounds;
   const net::DeliveryPolicy* policy = run.engine.delivery_policy();
   const Round budget = policy != nullptr ? policy->stall_budget() : 0;
-  const Round cap = max_rounds != 0
-                        ? max_rounds
-                        : (run.rounds > UINT32_MAX - budget ? UINT32_MAX : run.rounds + budget);
+  return rounds > UINT32_MAX - budget ? UINT32_MAX : rounds + budget;
+}
 
-  // Step to the deadline one protocol round at a time under the engine-
-  // round guard, watching for the first boundary where every honest party
-  // has decided — the run's rounds_to_termination watermark.
+RunOutcome run_assembled(AssembledRun& run, Round rounds, Round max_rounds) {
+  const Round cap = engine_round_cap(run, rounds, max_rounds);
+
+  // Step one protocol round at a time under the engine-round guard,
+  // watching for the first boundary where every honest party has
+  // decided — the run's rounds_to_termination watermark.
   bool decided_seen = false;
   Round decided_at = 0;
   bool limit_hit = false;
-  for (Round done = 0; done < run.rounds;) {
+  for (Round done = 0; done < rounds;) {
     const auto prog = run.engine.run_guarded(1, cap);
     if (prog.limit_hit) {
       limit_hit = true;
@@ -122,6 +124,12 @@ RunOutcome run_bsm(RunSpec spec) {
   // post-deadline slack; only an undecided cutoff is a liveness verdict.
   out.round_limit_hit = limit_hit && !out.terminated;
   return out;
+}
+
+RunOutcome run_bsm(RunSpec spec) {
+  const Round max_rounds = spec.max_rounds;
+  AssembledRun run = assemble_run(std::move(spec));
+  return run_assembled(run, run.rounds, max_rounds);
 }
 
 }  // namespace bsm::core

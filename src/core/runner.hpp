@@ -44,11 +44,6 @@ struct RunSpec {
   /// from ScenarioSpec::sched by to_run_spec().
   std::unique_ptr<net::DeliveryPolicy> policy;
 
-  /// Per-channel stats representation for the engine (see net::StatsMode).
-  /// Dense (the historical default) keeps TrafficStats byte-identical;
-  /// Sparse is the big-n mode that avoids the O(n^2) channel matrices.
-  net::StatsMode stats_mode = net::StatsMode::Dense;
-
   /// Hard engine-round guard for run_bsm(): a schedule that stalls the
   /// engine past this many engine rounds is cut off and reported as
   /// round_limit_hit instead of hanging. 0 (the default) resolves to the
@@ -104,9 +99,23 @@ struct AssembledRun {
 /// Snapshot outcome + property verdicts at the engine's current round.
 [[nodiscard]] RunOutcome collect_outcome(const AssembledRun& run);
 
+/// The engine-round guard for stepping `run` through `rounds` protocol
+/// rounds: `max_rounds` when nonzero, else `rounds` plus the installed
+/// policy's stall_budget(), saturating at the Round range. The stall
+/// budget is finite by construction, so the default cap is hit only by a
+/// saturated hand-written trace.
+[[nodiscard]] Round engine_round_cap(const AssembledRun& run, Round rounds, Round max_rounds);
+
+/// Step `run` through `rounds` protocol rounds one at a time under
+/// engine_round_cap(run, rounds, max_rounds), then collect its outcome.
+/// rounds_to_termination is the engine-round clock at the first round
+/// boundary where every honest party had decided (0 if none did), and
+/// round_limit_hit is set only when the guard cut off an undecided run.
+[[nodiscard]] RunOutcome run_assembled(AssembledRun& run, Round rounds, Round max_rounds);
+
 /// Run the setting's own protocol (requires a solvable configuration unless
 /// `spec.forced_spec` is set) and check properties. Equivalent to
-/// assemble_run + engine.run(rounds) + collect_outcome.
+/// assemble_run + run_assembled(run, run.rounds, spec.max_rounds).
 [[nodiscard]] RunOutcome run_bsm(RunSpec spec);
 
 /// Convenience: build the honest process a party would run, for adversary

@@ -156,7 +156,6 @@ RunSpec to_run_spec(const ScenarioSpec& scenario, SweepArena* arena,
   spec.inputs = matching::random_profile(scenario.config.k, scenario.input_seed);
   spec.pki_seed = scenario.pki_seed;
   spec.extra_rounds = scenario.extra_rounds;
-  spec.stats_mode = scenario.stats_mode;
   spec.max_rounds = scenario.max_rounds;
   spec.forced_spec = scenario.forced_spec;
   spec.resolved_spec = resolved;

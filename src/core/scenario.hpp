@@ -82,11 +82,6 @@ struct ScenarioSpec {
   /// byzantine guarantees.
   sched::PolicyDesc sched;
 
-  /// Per-channel stats representation (copied into RunSpec::stats_mode).
-  /// Dense keeps the historical byte-identical TrafficStats; Sparse is the
-  /// big-n mode whose channel memory scales with active channels.
-  net::StatsMode stats_mode = net::StatsMode::Dense;
-
   /// Engine-round guard (copied into RunSpec::max_rounds): 0 resolves to
   /// the protocol deadline plus the schedule's stall budget; a smaller
   /// explicit cap turns a starved run into a round_limit_hit outcome.

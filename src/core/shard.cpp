@@ -307,7 +307,10 @@ std::uint64_t scenario_digest(const ScenarioSpec& scenario) {
       scenario.sched.gst != 0) {
     w.u32(scenario.sched.gst);
   }
-  w.u8(static_cast<std::uint8_t>(scenario.stats_mode));
+  // Reserved byte, always 0: it stands where a stats-representation byte
+  // was folded (0 for every sweep cell), so grid_digest and the headers of
+  // existing shards stay byte-identical.
+  w.u8(0);
   if (scenario.max_rounds != 0) w.u32(scenario.max_rounds);
   return fnv1a64(w.data());
 }

@@ -104,8 +104,8 @@ class DeliveryPolicy {
   }
 
   /// Upper bound on the total engine rounds stall_round() may consume
-  /// over a run (0 for policies that never stall). Runners size their
-  /// default round-limit guard as protocol rounds + this budget.
+  /// over a run (0 for policies that never stall). core::engine_round_cap
+  /// sizes the default round-limit guard as protocol rounds + this budget.
   [[nodiscard]] virtual Round stall_budget() const { return 0; }
 };
 

@@ -62,123 +62,7 @@ class EngineContext final : public Context {
   std::size_t last_idx_ = SIZE_MAX;  ///< index of this context's last send
 };
 
-/// Slot index for `key`: splitmix64 finalizer spreads the sequential
-/// from * n + to keys across the power-of-two table.
-std::size_t probe_home(std::uint64_t key, std::size_t capacity) noexcept {
-  std::uint64_t x = key + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x) & (capacity - 1);
-}
-
 }  // namespace
-
-TrafficStats::Counter& TrafficStats::SparseChannels::upsert(std::uint64_t key) {
-  if (slots_.empty() || (size_ + 1) * 10 > slots_.size() * 7) grow();
-  std::size_t i = probe_home(key, slots_.size());
-  while (slots_[i].key != kEmpty && slots_[i].key != key) i = (i + 1) & (slots_.size() - 1);
-  if (slots_[i].key == kEmpty) {
-    slots_[i].key = key;
-    ++size_;
-  }
-  return slots_[i].counter;
-}
-
-const TrafficStats::Counter* TrafficStats::SparseChannels::find(std::uint64_t key) const noexcept {
-  if (slots_.empty()) return nullptr;
-  std::size_t i = probe_home(key, slots_.size());
-  while (slots_[i].key != kEmpty) {
-    if (slots_[i].key == key) return &slots_[i].counter;
-    i = (i + 1) & (slots_.size() - 1);
-  }
-  return nullptr;
-}
-
-void TrafficStats::SparseChannels::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.empty() ? 64 : old.size() * 2, Slot{});
-  for (const Slot& s : old) {
-    if (s.key == kEmpty) continue;
-    std::size_t i = probe_home(s.key, slots_.size());
-    while (slots_[i].key != kEmpty) i = (i + 1) & (slots_.size() - 1);
-    slots_[i] = s;
-  }
-}
-
-bool TrafficStats::SparseChannels::operator==(const SparseChannels& o) const noexcept {
-  if (size_ != o.size_) return false;
-  for (const Slot& s : slots_) {
-    if (s.key == kEmpty) continue;
-    const Counter* c = o.find(s.key);
-    if (c == nullptr || !(*c == s.counter)) return false;
-  }
-  return true;
-}
-
-void TrafficStats::note_send(PartyId from, PartyId to, Round round, std::size_t payload_bytes) {
-  ++messages;
-  bytes += payload_bytes;
-  if (per_round.size() <= round) per_round.resize(round + 1);
-  ++per_round[round].messages;
-  per_round[round].bytes += payload_bytes;
-  if (n != 0) {
-    const std::size_t key = static_cast<std::size_t>(from) * n + to;
-    auto& ch = mode == StatsMode::Dense ? per_channel[key] : sparse_channels.upsert(key);
-    ++ch.messages;
-    ch.bytes += payload_bytes;
-  }
-}
-
-void TrafficStats::note_delivery(PartyId from, PartyId to, Round round,
-                                 std::size_t payload_bytes) {
-  ++delivered_messages;
-  delivered_bytes += payload_bytes;
-  if (delivered_per_round.size() <= round) delivered_per_round.resize(round + 1);
-  ++delivered_per_round[round].messages;
-  delivered_per_round[round].bytes += payload_bytes;
-  if (n != 0) {
-    const std::size_t key = static_cast<std::size_t>(from) * n + to;
-    auto& ch = mode == StatsMode::Dense ? delivered_per_channel[key] : sparse_delivered.upsert(key);
-    ++ch.messages;
-    ch.bytes += payload_bytes;
-  }
-}
-
-void TrafficStats::note_drop(PartyId, PartyId, std::size_t payload_bytes) {
-  ++dropped_messages;
-  dropped_bytes += payload_bytes;
-}
-
-namespace {
-// Returned for sparse channels that never saw traffic — by construction the
-// zero counter, same as the untouched dense matrix entry.
-const TrafficStats::Counter kZeroCounter{};
-}  // namespace
-
-const TrafficStats::Counter& TrafficStats::channel(PartyId from, PartyId to) const {
-  require(n != 0 && from < n && to < n, "TrafficStats::channel: bad party id");
-  const std::size_t key = static_cast<std::size_t>(from) * n + to;
-  if (mode == StatsMode::Dense) return per_channel[key];
-  const Counter* c = sparse_channels.find(key);
-  return c != nullptr ? *c : kZeroCounter;
-}
-
-TrafficStats::Counter TrafficStats::round(Round r) const {
-  return r < per_round.size() ? per_round[r] : Counter{};
-}
-
-const TrafficStats::Counter& TrafficStats::delivered_channel(PartyId from, PartyId to) const {
-  require(n != 0 && from < n && to < n, "TrafficStats::delivered_channel: bad party id");
-  const std::size_t key = static_cast<std::size_t>(from) * n + to;
-  if (mode == StatsMode::Dense) return delivered_per_channel[key];
-  const Counter* c = sparse_delivered.find(key);
-  return c != nullptr ? *c : kZeroCounter;
-}
-
-TrafficStats::Counter TrafficStats::delivered_round(Round r) const {
-  return r < delivered_per_round.size() ? delivered_per_round[r] : Counter{};
-}
 
 void Mailbox::assemble(std::vector<Envelope>&& sends, std::size_t n) {
   // Group by recipient, ordered by sender id, ties in deterministic
@@ -208,15 +92,8 @@ std::vector<Envelope> Mailbox::recycle() {
   return buffer;
 }
 
-Engine::Engine(Topology topo, std::uint64_t pki_seed, StatsMode stats_mode)
-    : topo_(topo), pki_(topo.n(), pki_seed), slots_(topo.n()) {
-  stats_.n = topo_.n();
-  stats_.mode = stats_mode;
-  if (stats_mode == StatsMode::Dense) {
-    stats_.per_channel.assign(static_cast<std::size_t>(stats_.n) * stats_.n, {});
-    stats_.delivered_per_channel.assign(static_cast<std::size_t>(stats_.n) * stats_.n, {});
-  }
-}
+Engine::Engine(Topology topo, std::uint64_t pki_seed)
+    : topo_(topo), pki_(topo.n(), pki_seed), slots_(topo.n()) {}
 
 void Engine::set_delivery_policy(std::unique_ptr<DeliveryPolicy> policy) {
   require(carried_.empty(), "Engine::set_delivery_policy: messages still carried");
@@ -302,13 +179,14 @@ void Engine::deliver_and_step() {
   }
 
   // Fold delivered messages into each recipient's view digest.
+  stats_.delivered_messages += mailbox_.total();
   for (PartyId id = 0; id < slots_.size(); ++id) {
     std::uint64_t v = slots_[id].view;
     v = hash_combine(v, round_);
     for (const auto& env : mailbox_.inbox(id)) {
       v = hash_combine(v, env.from);
       v = hash_combine(v, env.payload_digest != 0 ? env.payload_digest : fnv1a64(env.payload));
-      stats_.note_delivery(env.from, env.to, round_, env.payload.size());
+      stats_.delivered_bytes += env.payload.size();
       if (observer_) observer_(env);
     }
     slots_[id].view = v;
@@ -329,7 +207,8 @@ void Engine::deliver_and_step() {
     slot.process->on_round(ctx, mailbox_.inbox(id));
   }
 
-  for (const auto& env : outgoing) stats_.note_send(env.from, env.to, round_, env.payload.size());
+  stats_.messages += outgoing.size();
+  for (const auto& env : outgoing) stats_.bytes += env.payload.size();
   scratch_ = mailbox_.recycle();
   in_flight_ = std::move(outgoing);
   if (rec != nullptr) {
@@ -369,7 +248,8 @@ void Engine::assemble_with_policy() {
         carried_.push_back({std::move(env), round_ + std::max<Round>(v.delay, 1), v.rank});
         break;
       case DeliveryVerdict::Action::Drop:
-        stats_.note_drop(env.from, env.to, env.payload.size());
+        ++stats_.dropped_messages;
+        stats_.dropped_bytes += env.payload.size();
         break;
     }
   }
@@ -389,10 +269,6 @@ void Engine::assemble_with_policy() {
   for (auto& c : merged) deliver.push_back(std::move(c.env));
   mailbox_.assemble(std::move(deliver), slots_.size());
   in_flight_.clear();
-}
-
-void Engine::run(Round rounds) {
-  for (Round i = 0; i < rounds; ++i) deliver_and_step();
 }
 
 Engine::RunProgress Engine::run_guarded(Round rounds, Round max_engine_rounds) {

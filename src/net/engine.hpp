@@ -30,126 +30,29 @@
 
 namespace bsm::net {
 
-/// How TrafficStats stores its per-channel (n x n) matrices. Aggregate and
-/// per-round counters are O(rounds) either way.
+/// Traffic totals for benchmark harnesses and sweep reports. The sent side
+/// counts at the send call, the delivered side at the round an envelope
+/// actually reached its recipient (later than send round + 1 exactly when
+/// a DeliveryPolicy delays it), and the dropped side at a policy Drop
+/// verdict. Under any schedule
+///   messages == delivered + dropped + still-carried + last round's sends
+/// (asserted by tests/delivery_test.cpp).
 ///
-///  - Dense:  flattened n x n Counter vectors, O(1) lookup, O(n^2) memory.
-///    The historical default — byte-identical stats at paper scale.
-///  - Sparse: an open-addressed hash map keyed by from * n + to, sized by
-///    the number of *active* channels. The big-n mode: an engine over 10^5+
-///    parties whose traffic touches a sparse channel subset keeps stats in
-///    O(active) instead of the O(n^2) that is the first thing to fall over
-///    at that scale. Same counters for every channel that saw traffic;
-///    channels that never did read as zero in both modes.
-enum class StatsMode : std::uint8_t { Dense, Sparse };
-
-/// Traffic statistics for benchmark harnesses and sweep reports: aggregate
-/// totals plus per-round and per-channel (sender, recipient) breakdowns.
-/// Counters record *sent* traffic, keyed by the round the send happened in.
-///
-/// Two properties are load-bearing for the layers above:
-///  - Exact decomposition: the per-round counters and the per-channel
-///    matrix each sum to the aggregate totals, message for message and
-///    byte for byte (asserted by tests/sweep_test.cpp) — so a harness may
-///    aggregate whichever axis it likes without double counting.
-///  - Determinism: counting happens at the send call inside the lock-step
-///    round, so two runs of the same (config, seeds, adversary plan) yield
-///    identical TrafficStats (operator== is byte-exact). The bench harness
-///    folds these counters into its repeat-determinism digest, and the
-///    sweep layer's parallel ≡ serial guarantee includes them.
+/// Determinism: counting happens inside the lock-step round, so two runs
+/// of the same (config, seeds, adversary plan) yield identical
+/// TrafficStats (operator== is byte-exact). The bench harness folds these
+/// totals into its repeat-determinism digest, and the sweep layer's
+/// parallel == serial guarantee includes them. Only totals are kept, so
+/// the stats are O(1) at any n; a harness that needs a per-channel or
+/// per-round breakdown tallies it with Engine::set_observer or by diffing
+/// the totals around a round.
 struct TrafficStats {
-  struct Counter {
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-
-    bool operator==(const Counter&) const = default;
-  };
-
-  /// Open-addressed per-channel counter map for StatsMode::Sparse: keys are
-  /// from * n + to, linear probing, power-of-two capacity, grown at 70%
-  /// load. Deterministic for the engine's use (same run -> same insertion
-  /// order), but equality is content-based so layouts never matter.
-  class SparseChannels {
-   public:
-    /// Counter for `key`, inserted zeroed if absent.
-    [[nodiscard]] Counter& upsert(std::uint64_t key);
-    /// Counter for `key`, or nullptr when the channel never saw traffic.
-    [[nodiscard]] const Counter* find(std::uint64_t key) const noexcept;
-
-    [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-    /// Heap bytes held by the table (memory-shape guards read this).
-    [[nodiscard]] std::size_t bytes_resident() const noexcept {
-      return slots_.capacity() * sizeof(Slot);
-    }
-
-    /// Visit every active (key, counter) pair, slot order (unspecified).
-    template <typename F>
-    void for_each(F&& f) const {
-      for (const Slot& s : slots_) {
-        if (s.key != kEmpty) f(s.key, s.counter);
-      }
-    }
-
-    /// Same active channels with the same counters, layout-agnostic.
-    [[nodiscard]] bool operator==(const SparseChannels& o) const noexcept;
-
-   private:
-    struct Slot {
-      std::uint64_t key = kEmpty;
-      Counter counter;
-    };
-    static constexpr std::uint64_t kEmpty = UINT64_MAX;
-
-    void grow();
-
-    std::vector<Slot> slots_;
-    std::size_t size_ = 0;
-  };
-
-  StatsMode mode = StatsMode::Dense;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
-  std::vector<Counter> per_round;    ///< indexed by sending round
-  std::vector<Counter> per_channel;  ///< Dense: flattened n x n matrix, from * n + to
-  SparseChannels sparse_channels;    ///< Sparse: same counters, keyed by from * n + to
-  std::uint32_t n = 0;               ///< parties (per_channel row width)
-
-  /// Delivered-side counters, keyed by the round the envelope actually
-  /// reached its recipient — which differs from the send round + 1 exactly
-  /// when a DeliveryPolicy delays messages. Under the synchronous schedule
-  /// delivered_round(r + 1) == round(r) message for message; under any
-  /// schedule delivered + dropped + (still-carried + last round's sends)
-  /// == sent (asserted by tests/delivery_test.cpp).
   std::uint64_t delivered_messages = 0;
   std::uint64_t delivered_bytes = 0;
   std::uint64_t dropped_messages = 0;  ///< policy Drop verdicts
   std::uint64_t dropped_bytes = 0;
-  std::vector<Counter> delivered_per_round;    ///< indexed by delivery round
-  std::vector<Counter> delivered_per_channel;  ///< Dense: flattened n x n, from * n + to
-  SparseChannels sparse_delivered;             ///< Sparse delivered-side counters
-
-  void note_send(PartyId from, PartyId to, Round round, std::size_t payload_bytes);
-  void note_delivery(PartyId from, PartyId to, Round round, std::size_t payload_bytes);
-  void note_drop(PartyId from, PartyId to, std::size_t payload_bytes);
-
-  /// Sent-traffic counter for the directed channel from -> to. In Sparse
-  /// mode a channel that never saw traffic reads as the zero counter.
-  [[nodiscard]] const Counter& channel(PartyId from, PartyId to) const;
-  /// Sent-traffic counter for `round` (zero counter past the last send).
-  [[nodiscard]] Counter round(Round r) const;
-  /// Delivered-traffic counter for the directed channel from -> to.
-  [[nodiscard]] const Counter& delivered_channel(PartyId from, PartyId to) const;
-  /// Delivered-traffic counter for `round` (zero past the last delivery).
-  [[nodiscard]] Counter delivered_round(Round r) const;
-
-  /// Heap bytes held by the per-channel structures (both sides, either
-  /// mode) — what the big-n memory-shape guard bounds.
-  [[nodiscard]] std::size_t channel_bytes_resident() const noexcept {
-    return per_channel.capacity() * sizeof(Counter) +
-           delivered_per_channel.capacity() * sizeof(Counter) +
-           sparse_channels.bytes_resident() + sparse_delivered.bytes_resident();
-  }
 
   bool operator==(const TrafficStats&) const = default;
 };
@@ -191,9 +94,7 @@ class Mailbox {
 
 class Engine {
  public:
-  /// `stats_mode` picks the per-channel stats representation (see StatsMode);
-  /// Dense preserves every historical transcript byte for byte.
-  Engine(Topology topo, std::uint64_t pki_seed, StatsMode stats_mode = StatsMode::Dense);
+  Engine(Topology topo, std::uint64_t pki_seed);
 
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
   [[nodiscard]] const crypto::Pki& pki() const noexcept { return pki_; }
@@ -208,26 +109,22 @@ class Engine {
   /// and `strategy` takes over (the honest process is discarded).
   void schedule_corruption(PartyId id, Round when, std::unique_ptr<Process> strategy);
 
-  /// Run rounds [current, current + rounds). Ignores DeliveryPolicy
-  /// stall verdicts (every iteration is a protocol round) — drive
-  /// stall-capable policies through run_guarded() instead.
-  void run(Round rounds);
-
-  /// What a guarded run did (see run_guarded).
+  /// What a run_guarded() call did.
   struct RunProgress {
     Round protocol_rounds = 0;  ///< protocol rounds completed this call
     Round engine_rounds = 0;    ///< engine ticks consumed (>= protocol_rounds)
     bool limit_hit = false;     ///< stopped by the engine-round cap instead
   };
 
-  /// The partial-synchrony driver: complete `rounds` protocol rounds,
-  /// consulting the delivery policy's stall_round() before each — a
-  /// stalled tick advances only the engine-round clock (nothing delivers,
-  /// nobody steps, current_round() is frozen) — and hard-stop once the
-  /// cumulative engine-round clock reaches `max_engine_rounds` (0 = no
-  /// cap; with no cap an ever-stalling policy never returns). With no
-  /// policy, or one that never stalls, this is run(rounds) plus the cap.
-  RunProgress run_guarded(Round rounds, Round max_engine_rounds);
+  /// The engine's run loop: complete `rounds` protocol rounds
+  /// [current, current + rounds), consulting the delivery policy's
+  /// stall_round() before each — a stalled tick advances only the
+  /// engine-round clock (nothing delivers, nobody steps, current_round()
+  /// is frozen) — and hard-stop once the cumulative engine-round clock
+  /// reaches `max_engine_rounds` (0 = no cap; with no cap an ever-stalling
+  /// policy never returns). With no policy, or one that never stalls,
+  /// every engine tick is a protocol round.
+  RunProgress run_guarded(Round rounds, Round max_engine_rounds = 0);
 
   [[nodiscard]] Round current_round() const noexcept { return round_; }
 
@@ -265,7 +162,7 @@ class Engine {
   /// Install a delivery schedule (see net/delivery.hpp). nullptr (the
   /// default) keeps the historical synchronous fast path — sends move
   /// straight into the mailbox, byte-identical to every pre-policy
-  /// transcript. Install before the first run(); swapping mid-run with
+  /// transcript. Install before the first round; swapping mid-run with
   /// messages still carried is a caller bug.
   void set_delivery_policy(std::unique_ptr<DeliveryPolicy> policy);
   [[nodiscard]] const DeliveryPolicy* delivery_policy() const noexcept { return policy_.get(); }

@@ -30,12 +30,9 @@ Eval eval_schedule(const core::ScenarioSpec& base,
   }
 
   // Scripted stalls make one protocol round cost several engine rounds;
-  // the stall budget is finite by construction, so rounds + budget is an
-  // exact cap (hit only on saturated hand-written traces, never by
-  // search-generated ones).
-  const auto* policy = run.engine.delivery_policy();
-  const Round budget = policy != nullptr ? policy->stall_budget() : 0;
-  const Round cap = rounds > UINT32_MAX - budget ? UINT32_MAX : rounds + budget;
+  // the default cap (rounds + stall budget) is never hit by
+  // search-generated traces.
+  const Round cap = core::engine_round_cap(run, rounds, 0);
 
   Eval eval;
   eval.trail = 0x5eed0f0ddULL;

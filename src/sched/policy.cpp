@@ -113,8 +113,8 @@ bool EventualSynchronyPolicy::stall_round(Round next) {
 
 net::DeliveryVerdict EventualSynchronyPolicy::on_envelope(Round now, const net::Envelope& env) {
   // The consult for this engine round already happened, so the current
-  // engine round is ticks_ - 1. From GST on (or when driven by a runner
-  // that never consults the stall hook) the schedule is synchronous.
+  // engine round is ticks_ - 1 (a verdict asked before any consult
+  // delivers). From GST on the schedule is synchronous.
   if (ticks_ == 0 || ticks_ - 1 >= gst_) return net::DeliveryVerdict::deliver();
   if (!envelope_.covers(env.from, env.to)) return net::DeliveryVerdict::deliver();
   const std::uint64_t key = slot_key(now, env.from, env.to);

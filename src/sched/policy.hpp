@@ -115,10 +115,9 @@ class TargetedOmissionPolicy final : public net::DeliveryPolicy {
 /// envelope of that channel group at that delivery round; everything else
 /// delivers natively. Stall ops are keyed by protocol round alone: a
 /// `stall@r:0>0*c` op stalls the engine for c engine rounds before
-/// protocol round r begins (run the engine via run_guarded to honor
-/// them). Serialize the trace, parse it back, replay — the transcript is
-/// bit-for-bit the same (the explorer's counterexample reproduction
-/// contract).
+/// protocol round r begins. Serialize the trace, parse it back, replay —
+/// the transcript is bit-for-bit the same (the explorer's counterexample
+/// reproduction contract).
 class ScriptedPolicy final : public net::DeliveryPolicy {
  public:
   explicit ScriptedPolicy(ScheduleTrace trace);
@@ -154,9 +153,6 @@ class ScriptedPolicy final : public net::DeliveryPolicy {
 /// + gst, the bound the termination batteries assert. Messages delayed
 /// just before GST may still land up to max_delay rounds after it, the
 /// standard partial-synchrony carry-over.
-///
-/// Drive the engine via run_guarded(): Engine::run() never consults the
-/// stall hook.
 class EventualSynchronyPolicy final : public net::DeliveryPolicy {
  public:
   /// `envelope` bounds the perturbation (covered channels, max_delay >= 1

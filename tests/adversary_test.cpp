@@ -30,7 +30,7 @@ TEST(Strategies, SilentSendsNothing) {
   net::Engine engine(net::Topology(net::TopologyKind::FullyConnected, 1), 1);
   engine.set_corrupt(0, std::make_unique<Silent>());
   engine.set_process(1, std::make_unique<Beacon>(0, Bytes{1}));
-  engine.run(4);
+  engine.run_guarded(4);
   EXPECT_TRUE(dynamic_cast<Beacon&>(engine.process(1)).heard_.empty());
 }
 
@@ -38,7 +38,7 @@ TEST(Strategies, CrashAtStopsMidway) {
   net::Engine engine(net::Topology(net::TopologyKind::FullyConnected, 1), 1);
   engine.set_corrupt(0, std::make_unique<CrashAt>(2, std::make_unique<Beacon>(1, Bytes{7})));
   engine.set_process(1, std::make_unique<Beacon>(0, Bytes{1}));
-  engine.run(6);
+  engine.run_guarded(6);
   // Sends at rounds 0 and 1 only -> two deliveries.
   EXPECT_EQ(dynamic_cast<Beacon&>(engine.process(1)).heard_.size(), 2U);
 }
@@ -48,7 +48,7 @@ TEST(Strategies, RandomNoiseIsDeterministicPerSeed) {
     net::Engine engine(net::Topology(net::TopologyKind::FullyConnected, 1), 1);
     engine.set_corrupt(0, std::make_unique<RandomNoise>(seed, 2));
     engine.set_process(1, std::make_unique<Beacon>(0, Bytes{1}));
-    engine.run(4);
+    engine.run_guarded(4);
     return engine.view_hash(1);
   };
   EXPECT_EQ(run_once(5), run_once(5));
@@ -59,7 +59,7 @@ TEST(Strategies, ReplayerEchoesTraffic) {
   net::Engine engine(net::Topology(net::TopologyKind::FullyConnected, 1), 1);
   engine.set_process(0, std::make_unique<Beacon>(1, Bytes{9}));
   engine.set_corrupt(1, std::make_unique<Replayer>());
-  engine.run(4);
+  engine.run_guarded(4);
   const auto& heard = dynamic_cast<Beacon&>(engine.process(0)).heard_;
   ASSERT_FALSE(heard.empty());
   EXPECT_EQ(heard.front(), Bytes{9});
@@ -73,7 +73,7 @@ TEST(Shims, SendFilteredDropsSelectedTraffic) {
   for (PartyId id = 1; id < 4; ++id) {
     engine.set_process(id, std::make_unique<Beacon>(2, Bytes{std::uint8_t(id)}));
   }
-  engine.run(3);
+  engine.run_guarded(3);
   EXPECT_TRUE(dynamic_cast<Beacon&>(engine.process(1)).heard_.empty());
 }
 
@@ -88,7 +88,7 @@ TEST(Shims, SplitBrainSeparatesWorlds) {
   for (PartyId id = 1; id < 4; ++id) {
     engine.set_process(id, std::make_unique<Beacon>(0, Bytes{std::uint8_t(id)}));
   }
-  engine.run(4);
+  engine.run_guarded(4);
   for (const auto& payload : dynamic_cast<Beacon&>(engine.process(1)).heard_) {
     EXPECT_EQ(payload, Bytes{10});
   }
@@ -118,7 +118,7 @@ TEST(Shims, SplitBrainRoutesInboxByGroup) {
   for (PartyId id = 1; id < 4; ++id) {
     engine.set_process(id, std::make_unique<Beacon>(0, Bytes{std::uint8_t(id)}));
   }
-  engine.run(3);
+  engine.run_guarded(3);
   for (PartyId from : rec0_ptr->senders_) EXPECT_EQ(from, 1U);
   for (PartyId from : rec1_ptr->senders_) EXPECT_NE(from, 1U);
   EXPECT_FALSE(rec0_ptr->senders_.empty());
@@ -138,7 +138,7 @@ TEST(Shims, ConspiratorTrafficCarriesWorldTags) {
   engine.set_corrupt(1, make_split(0, 200, 201));
   engine.set_process(2, std::make_unique<Silent>());
   engine.set_process(3, std::make_unique<Silent>());
-  EXPECT_NO_THROW(engine.run(4));
+  EXPECT_NO_THROW(engine.run_guarded(4));
   // The worlds stay consistent: nothing observable from outside, but the
   // run must not crash and honest parties hear nothing.
 }
@@ -167,7 +167,7 @@ TEST(Shims, SplitBrainSelfSendsStayInWorld) {
   engine.set_corrupt(0, std::make_unique<SplitBrain>(std::move(c0), std::move(c1),
                                                      [](PartyId) { return 0; }));
   engine.set_process(1, std::make_unique<Silent>());
-  engine.run(5);
+  engine.run_guarded(5);
   EXPECT_EQ(c0_ptr->echoes_, 4);
   EXPECT_EQ(c1_ptr->echoes_, 4);
 }

@@ -51,7 +51,7 @@ TEST(PhaseKingEdge, SilentByzantineKingsDoNotBlockAgreement) {
                                                       val(id % 2 ? 1 : 2), q)));
   }
   engine.set_corrupt(0, std::make_unique<adversary::Silent>());
-  engine.run(3 * 2 + 2);
+  engine.run_guarded(3 * 2 + 2);
   std::set<Bytes> outputs;
   for (PartyId id : {1U, 2U, 3U}) {
     const auto& inst = dynamic_cast<Host&>(engine.process(id)).instance();
@@ -78,7 +78,7 @@ TEST(PhaseKingEdge, EquivocatingKingCannotSplitStrongParties) {
              std::make_unique<Host>(net::RelayMode::Direct, 1, parts,
                                     std::make_unique<PhaseKingBA>(val(2), q)),
              [](PartyId p) { return p < 2 ? 0 : 1; }));
-  engine.run(3 * 2 + 2);
+  engine.run_guarded(3 * 2 + 2);
   for (PartyId id : {1U, 2U, 3U}) {
     const auto& inst = dynamic_cast<Host&>(engine.process(id)).instance();
     ASSERT_TRUE(inst.done());
@@ -96,7 +96,7 @@ TEST(PhaseKingEdge, EmptyAndLargeValuesAreFirstClass) {
                                                   std::make_unique<PhaseKingBA>(
                                                       id == 0 ? Bytes{} : big, q)));
   }
-  engine.run(3 * 2 + 2);
+  engine.run_guarded(3 * 2 + 2);
   std::set<Bytes> outputs;
   for (PartyId id : parts) {
     const auto& inst = dynamic_cast<Host&>(engine.process(id)).instance();
@@ -140,7 +140,7 @@ TEST(DolevStrongEdge, ForgedChainsAreRejected) {
                                                       0, 1, id == 0 ? val(9) : Bytes{})));
   }
   engine.set_corrupt(3, std::make_unique<ChainForger>());
-  engine.run(4);
+  engine.run_guarded(4);
   for (PartyId id : {1U, 2U}) {
     const auto& inst = dynamic_cast<Host&>(engine.process(id)).instance();
     ASSERT_TRUE(inst.done());
@@ -157,7 +157,7 @@ TEST(DolevStrongEdge, ZeroResilienceStillBroadcasts) {
                                                   std::make_unique<DolevStrong>(
                                                       0, 0, id == 0 ? val(5) : Bytes{})));
   }
-  engine.run(3);
+  engine.run_guarded(3);
   const auto& inst = dynamic_cast<Host&>(engine.process(1)).instance();
   ASSERT_TRUE(inst.done());
   EXPECT_EQ(*inst.output(), val(5));
@@ -189,7 +189,7 @@ TEST(HubEdge, NonParticipantTrafficIsFiltered) {
     }
   };
   engine.set_corrupt(3, std::make_unique<ValueInjector>());
-  engine.run(3 * 1 + 2);
+  engine.run_guarded(3 * 1 + 2);
   for (PartyId id : parts) {
     const auto& inst = dynamic_cast<Host&>(engine.process(id)).instance();
     ASSERT_TRUE(inst.done());
@@ -231,7 +231,7 @@ TEST(BBviaBAEdge, FactoryDurationMismatchIsCaught) {
       });
   engine.set_process(0, std::make_unique<Host>(net::RelayMode::Direct, 1, parts, std::move(bad)));
   for (PartyId id : {1U, 2U, 3U}) engine.set_process(id, std::make_unique<adversary::Silent>());
-  EXPECT_THROW(engine.run(3), std::logic_error);
+  EXPECT_THROW(engine.run_guarded(3), std::logic_error);
 }
 
 TEST(WireEdge, KvDecodingRejectsMalformedKinds) {

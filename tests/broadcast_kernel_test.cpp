@@ -356,7 +356,7 @@ struct BatteryOutcome {
     default:
       ADD_FAILURE() << "unknown battery";
   }
-  engine.run(t + 2);
+  engine.run_guarded(t + 2);
 
   BatteryOutcome out;
   for (PartyId id : all) {

@@ -93,7 +93,7 @@ TEST_P(BroadcastSweep, BbPropertiesHold) {
   }
 
   const std::uint32_t duration = c.use_dolev_strong ? c.t + 1 : 1 + 3 * (c.t + 1);
-  engine.run(duration + 2);
+  engine.run_guarded(duration + 2);
 
   std::set<std::optional<Bytes>> outputs;
   for (PartyId id = 0; id < c.n; ++id) {

@@ -101,7 +101,7 @@ struct Harness {
                 std::move(group)));
   }
 
-  void run_steps(std::uint32_t steps) { engine.run(steps * stride_ + 1); }
+  void run_steps(std::uint32_t steps) { engine.run_guarded(steps * stride_ + 1); }
 
   [[nodiscard]] const Instance& instance_of(PartyId id) {
     return dynamic_cast<HostProcess&>(engine.process(id)).instance(0);
@@ -293,7 +293,7 @@ TEST(OmissionBA, WeakAgreementUnderOmissions) {
     }
   }
   for (PartyId id = 4; id < 8; ++id) engine.set_process(id, std::make_unique<adversary::Silent>());
-  engine.run(3 * 2 + 2);
+  engine.run_guarded(3 * 2 + 2);
 
   std::vector<std::optional<Bytes>> outputs;
   for (PartyId id : parts) {

@@ -5,6 +5,7 @@
 //   `explore` emits schema-shaped JSON and exits 0 on a satisfied search;
 //   `fuzz` emits schema-shaped JSON, exits 1 on a violation, and its
 //   counterexample replays through `fuzz --replay`;
+//   a replay reports the same rounds_to_termination watermark as `run`;
 //   unusable paths (a directory to merge, a file in the way of --corpus,
 //   an unwritable --trace-out) exit 2 with a one-line error, never abort.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -133,6 +135,32 @@ TEST(CliContract, NeverDeliverScheduleIsStructuredAtEveryEntryPoint) {
   const auto fuzz = run_cli("fuzz --k 2 --tl 1 --tr 0 --replay " + wall + " --max-rounds 20");
   EXPECT_EQ(fuzz.exit_code, 1) << fuzz.output;
   EXPECT_NE(fuzz.output.find("\"round_limit_hit\": true"), std::string::npos) << fuzz.output;
+}
+
+/// The number after `key` in `output`, or -1 when `key` is absent.
+[[nodiscard]] long number_after(const std::string& output, const std::string& key) {
+  const auto at = output.find(key);
+  return at == std::string::npos ? -1 : std::stol(output.substr(at + key.size()));
+}
+
+TEST(CliContract, ReplayReportsTheSameTerminationWatermarkAsRun) {
+  // rounds_to_termination is the engine round at which every honest party
+  // had first decided. A replay steps the whole horizon, post-deadline
+  // slack included, and must still report that watermark, as `run` does.
+  const std::string setting = " --k 2 --tl 1 --tr 0 ";
+  const std::pair<std::string, long> cases[] = {{"stall@0:0>0*2", 5}, {"stall@2:0>0*1", 4}};
+  for (const auto& [trace, expected] : cases) {
+    const auto run = run_cli("run" + setting + "--adversary silent --trace \"" + trace + "\"");
+    EXPECT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_EQ(number_after(run.output, "rounds_to_termination="), expected) << run.output;
+    for (const char* sub : {"explore", "fuzz"}) {
+      const auto replay = run_cli(std::string(sub) + setting + "--battery silent --replay \"" +
+                                  trace + "\"");
+      EXPECT_EQ(replay.exit_code, 0) << replay.output;
+      EXPECT_EQ(number_after(replay.output, "\"rounds_to_termination\": "), expected)
+          << sub << " --replay " << trace << "\n" << replay.output;
+    }
+  }
 }
 
 TEST(CliContract, SweepGstAxisEmitsLivenessFields) {

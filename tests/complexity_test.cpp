@@ -34,14 +34,14 @@ TEST_P(ScheduleSweep, DecisionLandsExactlyOnSchedule) {
     engine.set_process(id, make_bsm_process(cfg, proto, id, inputs.list(id)));
   }
   require(proto.total_rounds >= 2, "schedule too short to probe");
-  engine.run(proto.total_rounds - 1);
+  engine.run_guarded(proto.total_rounds - 1);
   bool any_undecided = false;
   for (PartyId id = 0; id < cfg.n(); ++id) {
     any_undecided |= !engine.process_as<BsmProcess>(id).decided();
   }
   EXPECT_TRUE(any_undecided) << "schedule is loose: everyone decided a round early ("
                              << proto.describe() << ")";
-  engine.run(1);
+  engine.run_guarded(1);
   for (PartyId id = 0; id < cfg.n(); ++id) {
     EXPECT_TRUE(engine.process_as<BsmProcess>(id).decided())
         << "P" << id << " missed the schedule (" << proto.describe() << ")";

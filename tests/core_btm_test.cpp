@@ -142,7 +142,7 @@ TEST(Btm, HonestDecisionsAgreeOnOneMatching) {
     engine.set_process(id, make_bsm_process(cfg, proto, id, spec.inputs.list(id)));
   }
   engine.set_corrupt(4, std::make_unique<adversary::RandomNoise>(9, 2));
-  engine.run(proto.total_rounds + 2);
+  engine.run_guarded(proto.total_rounds + 2);
   const auto& reference = engine.process_as<BroadcastThenMatch>(0).matching();
   ASSERT_FALSE(reference.empty());
   for (PartyId id = 1; id < cfg.n(); ++id) {

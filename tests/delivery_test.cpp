@@ -5,6 +5,12 @@
 //   sent == delivered + dropped + still-carried + last round's in-flight.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "net/engine.hpp"
 #include "sched/policy.hpp"
 #include "sched/trace.hpp"
@@ -43,11 +49,34 @@ constexpr Round kRounds = 6;
   return std::make_unique<sched::ScriptedPolicy>(*trace);
 }
 
+/// Run one more round and return the messages sent in it: the totals
+/// diffed around that round.
+[[nodiscard]] std::uint64_t final_round_sends(Engine& engine) {
+  const std::uint64_t before = engine.stats().messages;
+  engine.run_guarded(1);
+  return engine.stats().messages - before;
+}
+
+/// (delivery round, sent round, from, to) of one delivered envelope.
+using Arrival = std::tuple<Round, Round, PartyId, PartyId>;
+
+/// Run `engine` for kRounds and return every delivery, sorted.
+[[nodiscard]] std::vector<Arrival> arrivals(Engine& engine) {
+  std::vector<Arrival> seen;
+  engine.set_observer([&](const Envelope& env) {
+    seen.emplace_back(engine.current_round(), env.sent_round, env.from, env.to);
+  });
+  engine.run_guarded(kRounds);
+  engine.set_observer(nullptr);
+  std::sort(seen.begin(), seen.end());
+  return seen;
+}
+
 TEST(Delivery, SynchronousPolicyMatchesNullPolicyExactly) {
   Engine fast = flood_engine(nullptr);
   Engine via_policy = flood_engine(std::make_unique<sched::SynchronousPolicy>());
-  fast.run(kRounds);
-  via_policy.run(kRounds);
+  fast.run_guarded(kRounds);
+  via_policy.run_guarded(kRounds);
 
   for (PartyId id = 0; id < 2 * kParties; ++id) {
     EXPECT_EQ(fast.view_hash(id), via_policy.view_hash(id)) << "party " << id;
@@ -58,15 +87,18 @@ TEST(Delivery, SynchronousPolicyMatchesNullPolicyExactly) {
 
 TEST(Delivery, SynchronousDeliveryIsTheSendSideShiftedOneRound) {
   Engine engine = flood_engine(nullptr);
-  engine.run(kRounds);
+  std::uint64_t observed = 0;
+  engine.set_observer([&](const Envelope& env) {
+    EXPECT_EQ(engine.current_round(), env.sent_round + 1) << env.from << "->" << env.to;
+    ++observed;
+  });
+  engine.run_guarded(kRounds - 1);
+  const std::uint64_t last_sends = final_round_sends(engine);
   const auto& stats = engine.stats();
 
   // Sent at r delivers at r + 1; the final round's sends are in flight.
-  for (Round r = 0; r + 1 < kRounds; ++r) {
-    EXPECT_EQ(stats.delivered_round(r + 1).messages, stats.round(r).messages) << "round " << r;
-    EXPECT_EQ(stats.delivered_round(r + 1).bytes, stats.round(r).bytes) << "round " << r;
-  }
-  EXPECT_EQ(stats.delivered_messages + stats.round(kRounds - 1).messages, stats.messages);
+  EXPECT_EQ(observed, stats.delivered_messages);
+  EXPECT_EQ(stats.delivered_messages + last_sends, stats.messages);
   EXPECT_EQ(stats.dropped_messages, 0U);
 }
 
@@ -75,35 +107,34 @@ TEST(Delivery, DelayedEnvelopesAttributeToTheirDeliveryRound) {
   // other channel is untouched. Differential vs the synchronous run.
   Engine sync = flood_engine(nullptr);
   Engine delayed = flood_engine(scripted("delay@2:0>2*2"));
-  sync.run(kRounds);
-  delayed.run(kRounds);
+  std::vector<Arrival> expected = arrivals(sync);
+  const std::vector<Arrival> actual = arrivals(delayed);
   const auto& a = sync.stats();
   const auto& b = delayed.stats();
 
   // The send side is schedule-independent (Flooder ignores its inbox).
   EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.per_round, b.per_round);
-  EXPECT_EQ(a.per_channel, b.per_channel);
+  EXPECT_EQ(a.bytes, b.bytes);
 
-  // Delivery side: one message left round 2, reappeared at round 4.
-  EXPECT_EQ(b.delivered_round(2).messages, a.delivered_round(2).messages - 1);
-  EXPECT_EQ(b.delivered_round(4).messages, a.delivered_round(4).messages + 1);
-  for (const Round r : {1U, 3U, 5U}) {
-    EXPECT_EQ(b.delivered_round(r).messages, a.delivered_round(r).messages) << "round " << r;
-  }
+  // Delivery side: the one 0 -> 2 envelope due at round 2 (sent at round
+  // 1) arrives at round 4 instead; every other arrival is unchanged.
+  const Arrival due{2, 1, 0, 2};
+  ASSERT_EQ(std::count(expected.begin(), expected.end(), due), 1);
+  *std::find(expected.begin(), expected.end(), due) = Arrival{4, 1, 0, 2};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(actual, expected);
 
-  // Totals and the per-channel matrix are conserved: the delayed envelope
-  // still reached channel (0, 2) within the run.
+  // Totals are conserved: the delayed envelope still arrived within the run.
   EXPECT_EQ(a.delivered_messages, b.delivered_messages);
   EXPECT_EQ(a.delivered_bytes, b.delivered_bytes);
-  EXPECT_EQ(a.delivered_channel(0, 2).messages, b.delivered_channel(0, 2).messages);
   EXPECT_EQ(b.dropped_messages, 0U);
   EXPECT_EQ(delayed.pending_carried(), 0U);
 }
 
 TEST(Delivery, CarriedPastTheEndStaysPendingAndIsConserved) {
   Engine engine = flood_engine(scripted("delay@3:1>0*100;drop@2:0>1"));
-  engine.run(kRounds);
+  engine.run_guarded(kRounds - 1);
+  const std::uint64_t last_sends = final_round_sends(engine);
   const auto& stats = engine.stats();
 
   EXPECT_EQ(engine.pending_carried(), 1U);  // the delayed 1 -> 0 envelope
@@ -113,101 +144,57 @@ TEST(Delivery, CarriedPastTheEndStaysPendingAndIsConserved) {
   // Conservation: everything sent is delivered, dropped, still carried,
   // or in flight from the final round.
   EXPECT_EQ(stats.messages, stats.delivered_messages + stats.dropped_messages +
-                                engine.pending_carried() + stats.round(kRounds - 1).messages);
+                                engine.pending_carried() + last_sends);
 }
 
 TEST(Delivery, PerChannelDeliveredCountersDecomposeTheTotal) {
+  // Tally deliveries per channel and per round with the observer: under a
+  // drop and a delay, both breakdowns sum to the engine's delivered totals.
   Engine engine = flood_engine(scripted("drop@1:0>3;delay@2:2>1*1"));
-  engine.run(kRounds);
+  std::map<std::pair<PartyId, PartyId>, std::uint64_t> by_channel;
+  std::map<Round, std::uint64_t> by_round;
+  std::uint64_t bytes = 0;
+  engine.set_observer([&](const Envelope& env) {
+    ++by_channel[{env.from, env.to}];
+    ++by_round[engine.current_round()];
+    bytes += env.payload.size();
+  });
+  engine.run_guarded(kRounds);
   const auto& stats = engine.stats();
 
-  std::uint64_t sum = 0;
-  for (PartyId from = 0; from < 2 * kParties; ++from) {
-    for (PartyId to = 0; to < 2 * kParties; ++to) {
-      sum += stats.delivered_channel(from, to).messages;
-    }
-  }
-  EXPECT_EQ(sum, stats.delivered_messages);
-
+  std::uint64_t channel_sum = 0;
+  for (const auto& [channel, count] : by_channel) channel_sum += count;
+  EXPECT_EQ(channel_sum, stats.delivered_messages);
   std::uint64_t round_sum = 0;
-  for (Round r = 0; r <= kRounds; ++r) round_sum += stats.delivered_round(r).messages;
+  for (const auto& [round, count] : by_round) round_sum += count;
   EXPECT_EQ(round_sum, stats.delivered_messages);
-}
+  EXPECT_EQ(bytes, stats.delivered_bytes);
 
-TEST(Delivery, SparseStatsAgreeWithDenseChannelForChannel) {
-  // Same workload under both StatsMode representations: every observable
-  // counter must agree, channel for channel — Sparse only changes storage.
-  Engine dense(Topology(TopologyKind::FullyConnected, kParties), 7);
-  Engine sparse(Topology(TopologyKind::FullyConnected, kParties), 7, StatsMode::Sparse);
-  const std::uint32_t n = 2 * kParties;
-  for (PartyId id = 0; id < n; ++id) {
-    dense.set_process(id, std::make_unique<Flooder>());
-    sparse.set_process(id, std::make_unique<Flooder>());
-  }
-  dense.run(kRounds);
-  sparse.run(kRounds);
-
-  const auto& a = dense.stats();
-  const auto& b = sparse.stats();
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.bytes, b.bytes);
-  EXPECT_EQ(a.delivered_messages, b.delivered_messages);
-  EXPECT_EQ(a.delivered_bytes, b.delivered_bytes);
-  EXPECT_EQ(a.per_round, b.per_round);
-  EXPECT_EQ(a.delivered_per_round, b.delivered_per_round);
-  for (PartyId from = 0; from < n; ++from) {
-    for (PartyId to = 0; to < n; ++to) {
-      EXPECT_TRUE(a.channel(from, to) == b.channel(from, to)) << from << "->" << to;
-      EXPECT_TRUE(a.delivered_channel(from, to) == b.delivered_channel(from, to))
-          << from << "->" << to;
-    }
-  }
-  // The table holds exactly the active channels (Flooder skips self).
-  EXPECT_EQ(b.sparse_channels.size(), static_cast<std::size_t>(n) * (n - 1));
-  EXPECT_EQ(b.channel(0, 0).messages, 0U);  // silent channel reads as zero
-
-  // The engine's behaviour is mode-independent: identical views.
-  for (PartyId id = 0; id < n; ++id) {
-    EXPECT_EQ(dense.view_hash(id), sparse.view_hash(id)) << "party " << id;
-  }
-}
-
-TEST(Delivery, ConservationHoldsInSparseMode) {
-  // Drops and carried delays exercise every counter family under Sparse.
-  Engine engine(Topology(TopologyKind::FullyConnected, kParties), 7, StatsMode::Sparse);
-  engine.set_delivery_policy(scripted("delay@3:1>0*100;drop@2:0>1"));
-  for (PartyId id = 0; id < 2 * kParties; ++id) {
-    engine.set_process(id, std::make_unique<Flooder>());
-  }
-  engine.run(kRounds);
-  const auto& stats = engine.stats();
-
-  EXPECT_EQ(engine.pending_carried(), 1U);
+  // The dropped 0 -> 3 envelope never arrives; the delayed 2 -> 1 one does.
+  const auto channel = [&](PartyId from, PartyId to) { return by_channel[{from, to}]; };
+  EXPECT_EQ(channel(0, 3), channel(1, 3) - 1);
+  EXPECT_EQ(channel(2, 1), channel(3, 1));
   EXPECT_EQ(stats.dropped_messages, 1U);
-  EXPECT_EQ(stats.messages, stats.delivered_messages + stats.dropped_messages +
-                                engine.pending_carried() + stats.round(kRounds - 1).messages);
-
-  // Both decompositions still sum to the totals with sparse storage.
-  std::uint64_t sent_sum = 0;
-  std::uint64_t delivered_sum = 0;
-  stats.sparse_channels.for_each(
-      [&](std::uint64_t, const TrafficStats::Counter& c) { sent_sum += c.messages; });
-  stats.sparse_delivered.for_each(
-      [&](std::uint64_t, const TrafficStats::Counter& c) { delivered_sum += c.messages; });
-  EXPECT_EQ(sent_sum, stats.messages);
-  EXPECT_EQ(delivered_sum, stats.delivered_messages);
 }
 
 TEST(Delivery, ReorderDemotesAGroupWithoutLosingIt) {
   Engine natural = flood_engine(nullptr);
   Engine reordered = flood_engine(scripted("rank@2:0>1*1"));
-  natural.run(kRounds);
-  reordered.run(kRounds);
+  std::uint64_t natural_0_to_1 = 0;  // deliveries on channel 0 -> 1
+  std::uint64_t reordered_0_to_1 = 0;
+  natural.set_observer([&](const Envelope& env) {
+    if (env.from == 0 && env.to == 1) ++natural_0_to_1;
+  });
+  reordered.set_observer([&](const Envelope& env) {
+    if (env.from == 0 && env.to == 1) ++reordered_0_to_1;
+  });
+  natural.run_guarded(kRounds);
+  reordered.run_guarded(kRounds);
 
   // Same delivery counts everywhere...
   EXPECT_EQ(natural.stats().delivered_messages, reordered.stats().delivered_messages);
-  EXPECT_EQ(natural.stats().delivered_channel(0, 1).messages,
-            reordered.stats().delivered_channel(0, 1).messages);
+  EXPECT_EQ(natural_0_to_1, reordered_0_to_1);
+  EXPECT_EQ(reordered_0_to_1, kRounds - 1U);
   // ...but party 1 saw round 2 in a different order (its view hash folds
   // the inbox sequence), while everyone else is untouched.
   EXPECT_NE(natural.view_hash(1), reordered.view_hash(1));
@@ -225,7 +212,7 @@ TEST(Delivery, DelayedDeliveryKeepsSenderOrderAmongCarriedAndFresh) {
   engine.set_observer([&](const Envelope& env) {
     if (env.to == 1) arrivals.emplace_back(env.sent_round, env.from);
   });
-  engine.run(3);
+  engine.run_guarded(3);
 
   // Round 1: froms {2, 3} (the 0 -> 1 group was delayed).
   // Round 2: carried (0, sent 0), fresh (0, sent 1), then 2, 3.
@@ -236,7 +223,7 @@ TEST(Delivery, DelayedDeliveryKeepsSenderOrderAmongCarriedAndFresh) {
 
 TEST(Delivery, PolicySwapWithCarriedTrafficIsRejected) {
   Engine engine = flood_engine(scripted("delay@1:0>1*50"));
-  engine.run(2);
+  engine.run_guarded(2);
   ASSERT_EQ(engine.pending_carried(), 1U);
   EXPECT_THROW(engine.set_delivery_policy(nullptr), std::logic_error);
 }

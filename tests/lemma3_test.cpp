@@ -85,7 +85,7 @@ struct Lemma3Fixture {
     for (PartyId id : byzantine) {
       engine.set_corrupt(id, std::make_unique<adversary::Silent>());
     }
-    engine.run(proto.total_rounds + 2);
+    engine.run_guarded(proto.total_rounds + 2);
     std::vector<std::optional<PartyId>> decisions(2 * d);
     for (PartyId id = 0; id < 2 * d; ++id) {
       if (engine.is_corrupt(id)) continue;

@@ -27,7 +27,7 @@ TEST(Lemma3Misc, WorksOnOneSidedTopology) {
     engine.set_process(
         id, std::make_unique<GroupSimulation>(big, proto, d, id, inputs.list(id), 9));
   }
-  engine.run(proto.total_rounds + 2);
+  engine.run_guarded(proto.total_rounds + 2);
   std::vector<std::optional<PartyId>> decisions(2 * d);
   for (PartyId id = 0; id < 2 * d; ++id) {
     const auto& p = engine.process_as<BsmProcess>(id);
@@ -67,7 +67,7 @@ TEST(Lemma3Misc, SpoofedCrossGroupFramesAreDropped) {
     }
   };
   engine.set_corrupt(1, std::make_unique<Spoofer>());
-  engine.run(proto.total_rounds + 2);
+  engine.run_guarded(proto.total_rounds + 2);
   std::vector<std::optional<PartyId>> decisions(2 * d);
   std::vector<bool> corrupt(2 * d, false);
   corrupt[1] = true;
@@ -97,7 +97,7 @@ TEST(AdversaryMisc, CrashAtZeroIsSilent) {
     std::size_t total_ = 0;
   };
   engine.set_process(1, std::make_unique<Count>());
-  engine.run(3);
+  engine.run_guarded(3);
   EXPECT_EQ(dynamic_cast<Count&>(engine.process(1)).total_, 0U);
 }
 
@@ -125,7 +125,7 @@ TEST(AdversaryMisc, FilteringContextPassesMetadata) {
   engine.set_corrupt(0, std::make_unique<adversary::SendFiltered>(
                             std::move(probe), [](PartyId, const Bytes&) { return false; }));
   for (PartyId id = 1; id < 4; ++id) engine.set_process(id, std::make_unique<adversary::Silent>());
-  engine.run(1);
+  engine.run_guarded(1);
   EXPECT_EQ(ptr->self_seen_, 0U);
   EXPECT_EQ(ptr->topo_kind_, net::TopologyKind::OneSided);
   EXPECT_TRUE(ptr->can_sign_);

@@ -78,7 +78,7 @@ TEST(Engine, DeliversNextRoundWithTrueSender) {
   Engine engine(Topology(TopologyKind::FullyConnected, 1), 1);
   engine.set_process(0, std::make_unique<PingProcess>(1, Bytes{42}));
   engine.set_process(1, std::make_unique<PingProcess>(0, Bytes{24}));
-  engine.run(2);
+  engine.run_guarded(2);
   const auto& p1 = dynamic_cast<PingProcess&>(engine.process(1));
   ASSERT_EQ(p1.heard_.size(), 1U);
   EXPECT_EQ(p1.heard_[0].from, 0U);
@@ -90,7 +90,7 @@ TEST(Engine, SelfSendLoopsBack) {
   Engine engine(Topology(TopologyKind::Bipartite, 1), 1);
   engine.set_process(0, std::make_unique<PingProcess>(0, Bytes{7}));
   engine.set_process(1, std::make_unique<PingProcess>(1, Bytes{8}));
-  engine.run(2);
+  engine.run_guarded(2);
   const auto& p0 = dynamic_cast<PingProcess&>(engine.process(0));
   ASSERT_EQ(p0.heard_.size(), 1U);
   EXPECT_EQ(p0.heard_[0].from, 0U);
@@ -106,7 +106,7 @@ TEST(Engine, HonestSendOnMissingChannelThrows) {
   e2.set_process(1, std::make_unique<PingProcess>(3, Bytes{1}));
   e2.set_process(2, std::make_unique<PingProcess>(0, Bytes{1}));
   e2.set_process(3, std::make_unique<PingProcess>(0, Bytes{1}));
-  EXPECT_THROW(e2.run(1), std::logic_error);
+  EXPECT_THROW(e2.run_guarded(1), std::logic_error);
 }
 
 TEST(Engine, CorruptSendOnMissingChannelIsDropped) {
@@ -115,7 +115,7 @@ TEST(Engine, CorruptSendOnMissingChannelIsDropped) {
   engine.set_process(1, std::make_unique<PingProcess>(3, Bytes{1}));
   engine.set_process(2, std::make_unique<PingProcess>(0, Bytes{1}));
   engine.set_process(3, std::make_unique<PingProcess>(0, Bytes{1}));
-  EXPECT_NO_THROW(engine.run(2));
+  EXPECT_NO_THROW(engine.run_guarded(2));
   const auto& p1 = dynamic_cast<PingProcess&>(engine.process(1));
   EXPECT_TRUE(p1.heard_.empty());  // byz message along nonexistent channel dropped
 }
@@ -135,7 +135,7 @@ TEST(Engine, ScheduledCorruptionReplacesProcess) {
   engine.set_process(0, std::make_unique<Chatty>());
   engine.set_process(1, std::make_unique<PingProcess>(0, Bytes{0}));
   engine.schedule_corruption(0, 2, std::make_unique<Quiet>());
-  engine.run(5);
+  engine.run_guarded(5);
   EXPECT_TRUE(engine.is_corrupt(0));
   EXPECT_FALSE(engine.is_corrupt(1));
   const auto& p1 = dynamic_cast<PingProcess&>(engine.process(1));
@@ -149,7 +149,7 @@ TEST(Engine, ViewHashesIdenticalForIdenticalRuns) {
     for (PartyId id = 0; id < 4; ++id) {
       engine.set_process(id, std::make_unique<PingProcess>((id + 1) % 4, Bytes{std::uint8_t(id)}));
     }
-    engine.run(3);
+    engine.run_guarded(3);
     return engine.view_hash(2);
   };
   EXPECT_EQ(build(), build());
@@ -160,7 +160,7 @@ TEST(Engine, ViewHashesDifferWhenTrafficDiffers) {
     Engine engine(Topology(TopologyKind::FullyConnected, 1), 7);
     engine.set_process(0, std::make_unique<PingProcess>(1, Bytes{payload}));
     engine.set_process(1, std::make_unique<PingProcess>(0, Bytes{3}));
-    engine.run(2);
+    engine.run_guarded(2);
     return engine.view_hash(1);
   };
   EXPECT_NE(build(1), build(2));
@@ -170,7 +170,7 @@ TEST(Engine, TrafficStatsCountMessagesAndBytes) {
   Engine engine(Topology(TopologyKind::FullyConnected, 1), 1);
   engine.set_process(0, std::make_unique<PingProcess>(1, Bytes{1, 2, 3}));
   engine.set_process(1, std::make_unique<PingProcess>(0, Bytes{4}));
-  engine.run(2);
+  engine.run_guarded(2);
   EXPECT_EQ(engine.stats().messages, 2U);
   EXPECT_EQ(engine.stats().bytes, 4U);
 }

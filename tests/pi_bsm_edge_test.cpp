@@ -128,14 +128,14 @@ TEST(PiBsmEdge, BSideDecidesExactlyOneRoundAfterASide) {
   for (PartyId id = 0; id < 2 * k; ++id) {
     engine.set_process(id, make_bsm_process(cfg, proto, id, inputs.list(id)));
   }
-  engine.run(sched.algo_decision + 1);  // rounds 0 .. algo_decision
+  engine.run_guarded(sched.algo_decision + 1);  // rounds 0 .. algo_decision
   for (PartyId a = 0; a < k; ++a) {
     EXPECT_TRUE(engine.process_as<BsmProcess>(a).decided()) << "A decides at algo_decision";
   }
   for (PartyId b = k; b < 2 * k; ++b) {
     EXPECT_FALSE(engine.process_as<BsmProcess>(b).decided()) << "B waits one more Delta";
   }
-  engine.run(1);
+  engine.run_guarded(1);
   for (PartyId b = k; b < 2 * k; ++b) {
     EXPECT_TRUE(engine.process_as<BsmProcess>(b).decided());
   }

@@ -64,7 +64,7 @@ TEST(RelayEdge, ConflictingMajorityVotesNeverBothAccepted) {
   Fixture f;
   f.engine.set_corrupt(2, std::make_unique<RawSender>(0, 1, fwd_frame(0, 1, 5, 0, {1})));
   f.engine.set_corrupt(3, std::make_unique<RawSender>(0, 1, fwd_frame(0, 1, 5, 0, {2})));
-  f.engine.run(3);
+  f.engine.run_guarded(3);
   EXPECT_TRUE(f.collector().delivered_.empty());
 }
 
@@ -72,7 +72,7 @@ TEST(RelayEdge, AgreeingMajorityVotesAcceptOnce) {
   Fixture f;
   f.engine.set_corrupt(2, std::make_unique<RawSender>(0, 1, fwd_frame(0, 1, 5, 0, {9})));
   f.engine.set_corrupt(3, std::make_unique<RawSender>(0, 1, fwd_frame(0, 1, 5, 0, {9})));
-  f.engine.run(3);
+  f.engine.run_guarded(3);
   ASSERT_EQ(f.collector().delivered_.size(), 1U);
   EXPECT_EQ(f.collector().delivered_[0].from, 0U);
   EXPECT_EQ(f.collector().delivered_[0].body, Bytes{9});
@@ -90,7 +90,7 @@ TEST(RelayEdge, DuplicateVotesFromOneRelayCountOnce) {
     }
   };
   f.engine.set_corrupt(2, std::make_unique<DoubleVoter>());
-  f.engine.run(4);
+  f.engine.run_guarded(4);
   EXPECT_TRUE(f.collector().delivered_.empty());
 }
 
@@ -98,7 +98,7 @@ TEST(RelayEdge, ForwardAddressedToSomeoneElseIgnored) {
   Fixture f;
   f.engine.set_corrupt(2, std::make_unique<RawSender>(0, 1, fwd_frame(0, 0, 5, 0, {9})));
   f.engine.set_corrupt(3, std::make_unique<RawSender>(0, 1, fwd_frame(0, 0, 5, 0, {9})));
-  f.engine.run(3);
+  f.engine.run_guarded(3);
   EXPECT_TRUE(f.collector().delivered_.empty());
   EXPECT_GE(f.collector().router_.rejected(), 2U);
 }
@@ -147,7 +147,7 @@ TEST(RelayEdge, TimedWindowBoundaryIsInclusive) {
     Bytes on_time_, late_;
   };
   engine.set_corrupt(2, std::make_unique<TwoSends>(make_frame(1, 0), make_frame(2, 0)));
-  engine.run(5);
+  engine.run_guarded(5);
   auto& collector = dynamic_cast<Collector&>(engine.process(1));
   ASSERT_EQ(collector.delivered_.size(), 1U);  // only the tau+2 arrival
   EXPECT_GE(collector.router_.rejected(), 1U);
@@ -167,7 +167,7 @@ TEST(RelayEdge, SelfSendUsesDirectFrame) {
   };
   engine.set_process(0, std::make_unique<SelfTalker>());
   for (PartyId id = 1; id < 4; ++id) engine.set_process(id, std::make_unique<adversary::Silent>());
-  engine.run(2);
+  engine.run_guarded(2);
   const auto& talker = dynamic_cast<SelfTalker&>(engine.process(0));
   ASSERT_EQ(talker.heard_.size(), 1U);
   EXPECT_EQ(talker.heard_[0].from, 0U);
@@ -184,7 +184,7 @@ TEST(EngineEdge, AccessorsValidateIds) {
 TEST(EngineEdge, PartiesWithoutProcessesAreSkipped) {
   Engine engine(Topology(TopologyKind::FullyConnected, 1), 1);
   engine.set_process(0, std::make_unique<adversary::Silent>());
-  EXPECT_NO_THROW(engine.run(3));  // party 1 has no process: inert
+  EXPECT_NO_THROW(engine.run_guarded(3));  // party 1 has no process: inert
   EXPECT_EQ(engine.current_round(), 3U);
 }
 
@@ -204,7 +204,7 @@ TEST(EngineEdge, CorruptionScheduledBeforeRunZeroActsFromStart) {
   };
   engine.set_process(1, std::make_unique<Count>());
   engine.schedule_corruption(0, 0, std::make_unique<adversary::Silent>());
-  engine.run(4);
+  engine.run_guarded(4);
   EXPECT_TRUE(engine.is_corrupt(0));
   EXPECT_EQ(dynamic_cast<Count&>(engine.process(1)).count_, 0U);
 }
@@ -216,9 +216,9 @@ TEST(EngineEdge, ViewHashAdvancesEvenOnSilentRounds) {
   engine.set_process(0, std::make_unique<adversary::Silent>());
   engine.set_process(1, std::make_unique<adversary::Silent>());
   const auto h0 = engine.view_hash(0);
-  engine.run(1);
+  engine.run_guarded(1);
   const auto h1 = engine.view_hash(0);
-  engine.run(1);
+  engine.run_guarded(1);
   EXPECT_NE(h0, h1);
   EXPECT_NE(h1, engine.view_hash(0));
 }

@@ -118,7 +118,7 @@ struct Fixture {
 TEST(Relay, DirectCrossSideDelivery) {
   Fixture f(2, RelayMode::Direct);
   f.script(0, {{0, 2, Bytes{1, 2, 3}}});
-  f.engine.run(2);
+  f.engine.run_guarded(2);
   ASSERT_EQ(f.user(2).delivered().size(), 1U);
   EXPECT_EQ(f.user(2).delivered()[0].from, 0U);
   EXPECT_EQ(f.user(2).delivered()[0].body, (Bytes{1, 2, 3}));
@@ -127,15 +127,15 @@ TEST(Relay, DirectCrossSideDelivery) {
 TEST(Relay, DirectRefusesVirtualChannels) {
   Fixture f(2, RelayMode::Direct);
   f.script(0, {{0, 1, Bytes{1}}});  // L-L without relaying enabled
-  EXPECT_THROW(f.engine.run(1), std::logic_error);
+  EXPECT_THROW(f.engine.run_guarded(1), std::logic_error);
 }
 
 TEST(Relay, MajorityDeliversInTwoRounds) {
   Fixture f(2, RelayMode::UnauthMajority);
   f.script(0, {{0, 1, Bytes{5, 6}}});
-  f.engine.run(2);
+  f.engine.run_guarded(2);
   EXPECT_TRUE(f.user(1).delivered().empty());  // not yet: 2 * Delta
-  f.engine.run(1);
+  f.engine.run_guarded(1);
   ASSERT_EQ(f.user(1).delivered().size(), 1U);
   EXPECT_EQ(f.user(1).delivered()[0].from, 0U);
   EXPECT_EQ(f.user(1).delivered()[0].body, (Bytes{5, 6}));
@@ -145,7 +145,7 @@ TEST(Relay, MajoritySurvivesOneGarblingRelayOfThree) {
   Fixture f(3, RelayMode::UnauthMajority);
   f.script(0, {{0, 1, Bytes{9}}});
   f.engine.set_corrupt(3, std::make_unique<GarblingRelay>(RelayMode::UnauthMajority));
-  f.engine.run(4);
+  f.engine.run_guarded(4);
   ASSERT_EQ(f.user(1).delivered().size(), 1U);
   EXPECT_EQ(f.user(1).delivered()[0].body, (Bytes{9}));
 }
@@ -156,7 +156,7 @@ TEST(Relay, MajorityFailsWithoutHonestMajority) {
   Fixture f(2, RelayMode::UnauthMajority);
   f.script(0, {{0, 1, Bytes{9}}});
   f.engine.set_corrupt(2, std::make_unique<SilentProcess>());
-  f.engine.run(6);
+  f.engine.run_guarded(6);
   EXPECT_TRUE(f.user(1).delivered().empty());
 }
 
@@ -180,7 +180,7 @@ TEST(Relay, MajorityRejectsSpoofedSource) {
     Bytes frame_;
   };
   f.engine.set_corrupt(3, std::make_unique<RawSender>(w.data()));
-  f.engine.run(4);
+  f.engine.run_guarded(4);
   EXPECT_TRUE(f.user(1).delivered().empty());
 }
 
@@ -191,7 +191,7 @@ TEST(Relay, AuthDeliversWithSingleHonestRelay) {
   f.script(0, {{0, 1, Bytes{1, 1}}});
   f.engine.set_corrupt(3, std::make_unique<SilentProcess>());
   f.engine.set_corrupt(4, std::make_unique<SilentProcess>());
-  f.engine.run(4);
+  f.engine.run_guarded(4);
   ASSERT_EQ(f.user(1).delivered().size(), 1U);
   EXPECT_EQ(f.user(1).delivered()[0].from, 0U);
 }
@@ -203,7 +203,7 @@ TEST(Relay, AuthRejectsGarbledContent) {
   f.script(0, {{0, 1, Bytes{8}}});
   f.engine.set_corrupt(2, std::make_unique<GarblingRelay>(RelayMode::AuthSigned));
   f.engine.set_corrupt(3, std::make_unique<SilentProcess>());
-  f.engine.run(5);
+  f.engine.run_guarded(5);
   EXPECT_TRUE(f.user(1).delivered().empty());
 }
 
@@ -211,7 +211,7 @@ TEST(Relay, AuthAcceptsExactlyOncePerMessage) {
   // All three relays forward: the receiver must deduplicate on (src, id).
   Fixture f(3, RelayMode::AuthSigned);
   f.script(0, {{0, 1, Bytes{4}}, {0, 1, Bytes{4}}});
-  f.engine.run(4);
+  f.engine.run_guarded(4);
   // Two scripted sends = two ids = two deliveries; not six.
   EXPECT_EQ(f.user(1).delivered().size(), 2U);
 }
@@ -219,7 +219,7 @@ TEST(Relay, AuthAcceptsExactlyOncePerMessage) {
 TEST(Relay, TimedAcceptsWithinWindow) {
   Fixture f(2, RelayMode::AuthTimed);
   f.script(0, {{0, 1, Bytes{3}}});
-  f.engine.run(4);
+  f.engine.run_guarded(4);
   ASSERT_EQ(f.user(1).delivered().size(), 1U);
 }
 
@@ -230,7 +230,7 @@ TEST(Relay, TimedRejectsLateForwards) {
   f.script(0, {{0, 1, Bytes{3}}});
   f.engine.set_corrupt(2, std::make_unique<DelayingRelay>(RelayMode::AuthTimed, 3));
   f.engine.set_corrupt(3, std::make_unique<SilentProcess>());
-  f.engine.run(10);
+  f.engine.run_guarded(10);
   EXPECT_TRUE(f.user(1).delivered().empty());
 }
 
@@ -239,7 +239,7 @@ TEST(Relay, TimedOmissionRequiresAllRelaysByzantine) {
   Fixture f(2, RelayMode::AuthTimed);
   f.script(0, {{0, 1, Bytes{3}}});
   f.engine.set_corrupt(3, std::make_unique<DelayingRelay>(RelayMode::AuthTimed, 3));
-  f.engine.run(10);
+  f.engine.run_guarded(10);
   ASSERT_EQ(f.user(1).delivered().size(), 1U);
 }
 
@@ -252,7 +252,7 @@ TEST(Relay, MalformedFramesAreCountedNotFatal) {
     }
   };
   f.engine.set_corrupt(2, std::make_unique<Noise>());
-  EXPECT_NO_THROW(f.engine.run(3));
+  EXPECT_NO_THROW(f.engine.run_guarded(3));
   EXPECT_GE(f.user(0).router().rejected(), 1U);
 }
 

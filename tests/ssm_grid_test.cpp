@@ -88,7 +88,7 @@ TEST(SsmGrid, EngineObserverSeesEveryDeliveredMessage) {
     }
   };
   for (PartyId id = 0; id < 4; ++id) engine.set_process(id, std::make_unique<Chatty>());
-  engine.run(5);
+  engine.run_guarded(5);
   // Messages sent in rounds 0..3 get delivered by round 4; round 4's sends
   // are still in flight.
   EXPECT_EQ(observed, 4U * 4U * 4U);

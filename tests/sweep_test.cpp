@@ -3,10 +3,14 @@
 //  1. Determinism — run_sweep() over a thread pool produces results
 //     byte-identical to the serial fallback, cell for cell (same view
 //     hashes, same PropertyReports, same traffic counters).
-//  2. Traffic accounting — the batched mailbox engine's TrafficStats
-//     per-round and per-channel counters are exact decompositions of the
-//     aggregate totals, and inbox slices arrive ordered by sender.
+//  2. Traffic accounting — per-round diffs of the batched mailbox
+//     engine's TrafficStats totals and per-channel tallies of its
+//     deliveries decompose those totals exactly, and inbox slices arrive
+//     ordered by sender.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <utility>
 
 #include "core/sweep.hpp"
 #include "net/engine.hpp"
@@ -219,63 +223,49 @@ TEST(TrafficStats, PerRoundAndPerChannelCountersDecomposeTotals) {
   engine.set_process(0, std::make_unique<Pinger>(2));
   engine.set_process(1, std::make_unique<Pinger>(2));
   engine.set_process(2, std::make_unique<SenderRecorder>());
+  struct Counter {
+    std::uint64_t messages = 0;
+    std::uint64_t bytes = 0;
+    bool operator==(const Counter&) const = default;
+  };
+  std::map<std::pair<PartyId, PartyId>, Counter> by_channel;  // delivered side
+  engine.set_observer([&](const net::Envelope& env) {
+    auto& counter = by_channel[{env.from, env.to}];
+    ++counter.messages;
+    counter.bytes += env.payload.size();
+  });
   const Round rounds = 5;
-  engine.run(rounds);
 
+  // Per-round counters, by diffing the totals around each round.
+  for (Round r = 0; r < rounds; ++r) {
+    const net::TrafficStats before = engine.stats();
+    engine.run_guarded(1);
+    EXPECT_EQ(engine.stats().messages - before.messages, 2U) << "round " << r;
+    EXPECT_EQ(engine.stats().bytes - before.bytes, 6U) << "round " << r;
+  }
   const auto& stats = engine.stats();
   EXPECT_EQ(stats.messages, 2U * rounds);
   EXPECT_EQ(stats.bytes, 2U * rounds * 3);
 
-  // Per-round counters decompose the totals exactly.
-  std::uint64_t round_messages = 0;
-  std::uint64_t round_bytes = 0;
-  for (Round r = 0; r < rounds; ++r) {
-    EXPECT_EQ(stats.round(r).messages, 2U);
-    EXPECT_EQ(stats.round(r).bytes, 6U);
-    round_messages += stats.round(r).messages;
-    round_bytes += stats.round(r).bytes;
-  }
-  EXPECT_EQ(round_messages, stats.messages);
-  EXPECT_EQ(round_bytes, stats.bytes);
-  EXPECT_EQ(stats.round(rounds + 7).messages, 0U) << "rounds past the run are zero";
-
-  // Per-channel counters decompose the totals exactly.
+  // Per-channel counters, tallied by the observer, decompose the delivered
+  // totals exactly; the last round's two sends are still in flight.
   std::uint64_t channel_messages = 0;
   std::uint64_t channel_bytes = 0;
-  for (PartyId from = 0; from < 2 * k; ++from) {
-    for (PartyId to = 0; to < 2 * k; ++to) {
-      channel_messages += stats.channel(from, to).messages;
-      channel_bytes += stats.channel(from, to).bytes;
-    }
+  for (const auto& [channel, counter] : by_channel) {
+    channel_messages += counter.messages;
+    channel_bytes += counter.bytes;
   }
-  EXPECT_EQ(channel_messages, stats.messages);
-  EXPECT_EQ(channel_bytes, stats.bytes);
+  EXPECT_EQ(channel_messages, stats.delivered_messages);
+  EXPECT_EQ(channel_bytes, stats.delivered_bytes);
+  EXPECT_EQ(stats.delivered_messages + 2, stats.messages);
 
   // And individual channels carry exactly their own traffic.
-  EXPECT_EQ(stats.channel(0, 2).messages, static_cast<std::uint64_t>(rounds));
-  EXPECT_EQ(stats.channel(0, 2).bytes, static_cast<std::uint64_t>(rounds) * 3);
-  EXPECT_EQ(stats.channel(1, 2), stats.channel(0, 2));
-  EXPECT_EQ(stats.channel(2, 0).messages, 0U);
-}
-
-TEST(TrafficStats, SweepOutcomesCarryChannelCounters) {
-  SweepGrid grid;
-  grid.ks = {3};
-  grid.tls = {1};
-  grid.trs = {1};
-  const auto results = run_sweep(grid.cells());
-  ASSERT_FALSE(results.empty());
-  for (const auto& cell : results) {
-    if (!cell.outcome.has_value()) continue;
-    const auto& traffic = cell.outcome->traffic;
-    ASSERT_EQ(traffic.n, cell.scenario.config.n());
-    std::uint64_t sum = 0;
-    for (const auto& counter : traffic.per_channel) sum += counter.messages;
-    EXPECT_EQ(sum, traffic.messages);
-    std::uint64_t round_sum = 0;
-    for (const auto& counter : traffic.per_round) round_sum += counter.bytes;
-    EXPECT_EQ(round_sum, traffic.bytes);
-  }
+  ASSERT_EQ(by_channel.size(), 2U);
+  const Counter from_0 = by_channel[{0, 2}];
+  const Counter from_1 = by_channel[{1, 2}];
+  EXPECT_EQ(from_0.messages, rounds - 1U);
+  EXPECT_EQ(from_0.bytes, (rounds - 1U) * 3);
+  EXPECT_TRUE(from_1 == from_0);
 }
 
 TEST(Mailbox, InboxSlicesArriveOrderedBySender) {
@@ -286,7 +276,7 @@ TEST(Mailbox, InboxSlicesArriveOrderedBySender) {
   engine.set_process(2, std::make_unique<Pinger>(0));
   engine.set_process(1, std::make_unique<Pinger>(0));
   engine.set_process(0, std::make_unique<SenderRecorder>());
-  engine.run(3);  // deliveries happen in rounds 1 and 2
+  engine.run_guarded(3);  // deliveries happen in rounds 1 and 2
 
   const auto& recorder = engine.process_as<SenderRecorder>(0);
   const std::vector<PartyId> expected{1, 2, 3, 1, 2, 3};

@@ -677,19 +677,13 @@ int run_replay(core::ScenarioSpec scenario, Round horizon, Round max_rounds,
   scenario.sched.trace = *trace;
   // Honor --horizon exactly like the search does (horizon 0 = the
   // protocol deadline), so a counterexample found under a truncated
-  // horizon reproduces on replay. Stepping goes through the engine-round
-  // guard: a trace that stalls the engine forever (or past --max-rounds)
-  // degrades to a round_limit_hit verdict instead of hanging the replay.
+  // horizon reproduces on replay. Stepping is run_bsm's: the same
+  // first-all-decided rounds_to_termination watermark as `run`, and the
+  // engine-round guard turns a trace that stalls the engine forever (or
+  // past --max-rounds) into a round_limit_hit verdict instead of a hang.
   auto run = core::assemble_run(core::to_run_spec(scenario));
   const Round rounds = horizon == 0 ? run.rounds : horizon;
-  const auto* policy = run.engine.delivery_policy();
-  const Round budget = policy != nullptr ? policy->stall_budget() : 0;
-  const Round cap = max_rounds != 0
-                        ? max_rounds
-                        : (rounds > UINT32_MAX - budget ? UINT32_MAX : rounds + budget);
-  const auto prog = run.engine.run_guarded(rounds, cap);
-  core::RunOutcome out = core::collect_outcome(run);
-  out.round_limit_hit = prog.limit_hit && !out.terminated;
+  const core::RunOutcome out = core::run_assembled(run, rounds, max_rounds);
   std::cout << "{\n  \"replay\": {\"trace\": \"" << json_escape(trace->serialize())
             << "\", \"ops\": " << trace->ops.size() << ", \"rounds\": " << out.rounds
             << ", \"messages\": " << out.traffic.messages
