@@ -7,7 +7,7 @@ namespace bsm::adversary {
 FilteringContext::SendFilter budgeted_omission_filter(core::PartySet targets,
                                                       std::uint32_t budget) {
   auto remaining = std::make_shared<std::uint32_t>(budget);
-  return [targets = std::move(targets), remaining](PartyId to, const Bytes&) {
+  return [targets = std::move(targets), remaining](PartyId to, ByteView) {
     if (!targets.contains(to) || *remaining == 0) return true;
     --*remaining;
     return false;
@@ -19,7 +19,7 @@ namespace {
 // Frame marker for world-tagged traffic between conspirators.
 constexpr std::uint8_t kWorldTag = 0xB7;
 
-[[nodiscard]] Bytes wrap_world(int world, const Bytes& payload) {
+[[nodiscard]] Bytes wrap_world(int world, ByteView payload) {
   Writer w;
   w.u8(kWorldTag);
   w.u8(static_cast<std::uint8_t>(world));
@@ -27,13 +27,15 @@ constexpr std::uint8_t kWorldTag = 0xB7;
   return w.take();
 }
 
-[[nodiscard]] std::optional<std::pair<int, Bytes>> unwrap_world(const Bytes& payload) {
+/// The world and inner payload of a world-tagged frame; the inner payload
+/// is a view into `payload`.
+[[nodiscard]] std::optional<std::pair<int, ByteView>> unwrap_world(ByteView payload) {
   Reader r(payload);
   if (r.u8() != kWorldTag) return std::nullopt;
   const int world = r.u8();
-  Bytes inner = r.bytes();
+  const ByteView inner = r.bytes_view();
   if (!r.done() || world > 1) return std::nullopt;
-  return std::make_pair(world, std::move(inner));
+  return std::make_pair(world, inner);
 }
 
 }  // namespace
@@ -48,20 +50,25 @@ SplitBrain::SplitBrain(std::unique_ptr<net::Process> instance0,
 }
 
 void SplitBrain::on_round(net::Context& ctx, net::Inbox inbox) {
-  // Partition the inbox into the two simulated worlds.
+  // Partition the inbox into the two simulated worlds. Last round's
+  // self-sends come first; `looped` keeps their bytes alive this round.
+  std::vector<SelfSend> looped[2];
   std::vector<net::Envelope> world_inbox[2];
   for (int w = 0; w < 2; ++w) {
-    world_inbox[w] = std::move(self_loop_[w]);
+    looped[w] = std::move(self_loop_[w]);
     self_loop_[w].clear();
+    for (const SelfSend& s : looped[w]) {
+      world_inbox[w].push_back(net::Envelope{ctx.self(), ctx.self(), s.round, s.payload});
+    }
   }
   for (const auto& env : inbox) {
     if (env.from == ctx.self()) continue;  // own sends are kept in self_loop_
     if (conspirators_.contains(env.from)) {
       if (auto unwrapped = unwrap_world(env.payload)) {
         auto tagged = env;
-        tagged.payload = std::move(unwrapped->second);
+        tagged.payload = unwrapped->second;
         tagged.payload_digest = 0;  // digest covered the wrapped bytes
-        world_inbox[unwrapped->first].push_back(std::move(tagged));
+        world_inbox[unwrapped->first].push_back(tagged);
       }
       continue;
     }
@@ -70,10 +77,9 @@ void SplitBrain::on_round(net::Context& ctx, net::Inbox inbox) {
   }
 
   for (int world = 0; world < 2; ++world) {
-    FilteringContext shim(ctx, [this, world, &ctx](PartyId to, const Bytes& payload) {
+    FilteringContext shim(ctx, [this, world, &ctx](PartyId to, ByteView payload) {
       if (to == ctx.self()) {
-        self_loop_[world].push_back(
-            net::Envelope{ctx.self(), ctx.self(), ctx.round(), payload});
+        self_loop_[world].push_back({ctx.round(), Bytes(payload.begin(), payload.end())});
         return false;
       }
       if (conspirators_.contains(to)) {

@@ -22,11 +22,11 @@ namespace bsm::adversary {
 class FilteringContext final : public net::Context {
  public:
   /// `allow(to, payload)` decides whether a send goes out.
-  using SendFilter = std::function<bool(PartyId, const Bytes&)>;
+  using SendFilter = std::function<bool(PartyId, ByteView)>;
 
   FilteringContext(net::Context& base, SendFilter allow) : base_(&base), allow_(std::move(allow)) {}
 
-  void send(PartyId to, const Bytes& payload) override {
+  void send(PartyId to, ByteView payload) override {
     if (allow_(to, payload)) base_->send(to, payload);
   }
   [[nodiscard]] Round round() const override { return base_->round(); }
@@ -86,10 +86,17 @@ class SplitBrain final : public net::Process {
   void on_round(net::Context& ctx, net::Inbox inbox) override;
 
  private:
+  /// A self-send, looped back to its own world next round. It outlives
+  /// the round's payload arena, so it owns its bytes.
+  struct SelfSend {
+    Round round = 0;
+    Bytes payload;
+  };
+
   std::unique_ptr<net::Process> instances_[2];
   GroupOf group_;
   std::set<PartyId> conspirators_;
-  std::vector<net::Envelope> self_loop_[2];  ///< per-world self-send loopback
+  std::vector<SelfSend> self_loop_[2];  ///< per-world self-send loopback
 };
 
 }  // namespace bsm::adversary

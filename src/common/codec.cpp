@@ -18,12 +18,12 @@ void Writer::u32(std::uint32_t v) { append_u32_le(buf_, v); }
 
 void Writer::u64(std::uint64_t v) { append_u64_le(buf_, v); }
 
-void Writer::bytes(const Bytes& b) {
+void Writer::bytes(ByteView b) {
   u32(static_cast<std::uint32_t>(b.size()));
   raw(b);
 }
 
-void Writer::raw(const Bytes& b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
+void Writer::raw(ByteView b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
 
 void Writer::u32_vec(const std::vector<std::uint32_t>& v) {
   u32(static_cast<std::uint32_t>(v.size()));
@@ -36,7 +36,7 @@ void Writer::str(const std::string& s) {
 }
 
 bool Reader::take(std::size_t n) noexcept {
-  if (!ok_ || buf_->size() - pos_ < n) {
+  if (!ok_ || buf_.size() - pos_ < n) {
     ok_ = false;
     return false;
   }
@@ -45,36 +45,36 @@ bool Reader::take(std::size_t n) noexcept {
 
 std::uint8_t Reader::u8() {
   if (!take(1)) return 0;
-  return (*buf_)[pos_++];
+  return buf_[pos_++];
 }
 
 std::uint32_t Reader::u32() {
   if (!take(4)) return 0;
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>((*buf_)[pos_++]) << (8 * i);
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf_[pos_++]) << (8 * i);
   return v;
 }
 
 std::uint64_t Reader::u64() {
   if (!take(8)) return 0;
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>((*buf_)[pos_++]) << (8 * i);
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
   return v;
 }
 
 Bytes Reader::bytes() {
   const std::uint32_t n = u32();
   if (!take(n)) return {};
-  Bytes out(buf_->begin() + static_cast<std::ptrdiff_t>(pos_),
-            buf_->begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  Bytes out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
+            buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
   return out;
 }
 
-std::span<const std::uint8_t> Reader::bytes_view() {
+ByteView Reader::bytes_view() {
   const std::uint32_t n = u32();
   if (!take(n)) return {};
-  std::span<const std::uint8_t> out(buf_->data() + pos_, n);
+  const ByteView out = buf_.subspan(pos_, n);
   pos_ += n;
   return out;
 }
@@ -83,7 +83,7 @@ std::vector<std::uint32_t> Reader::u32_vec() {
   const std::uint32_t n = u32();
   // Guard against absurd length prefixes in hostile input: each element
   // occupies 4 bytes, so n may not exceed the remaining buffer / 4.
-  if (!ok_ || buf_->size() - pos_ < static_cast<std::size_t>(n) * 4) {
+  if (!ok_ || buf_.size() - pos_ < static_cast<std::size_t>(n) * 4) {
     ok_ = false;
     return {};
   }
@@ -96,8 +96,8 @@ std::vector<std::uint32_t> Reader::u32_vec() {
 std::string Reader::str() {
   const std::uint32_t n = u32();
   if (!take(n)) return {};
-  std::string out(buf_->begin() + static_cast<std::ptrdiff_t>(pos_),
-                  buf_->begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  std::string out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
+                  buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
   return out;
 }

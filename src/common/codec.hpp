@@ -55,8 +55,8 @@ class Writer {
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void bytes(const Bytes& b);          ///< u32 length prefix + raw bytes
-  void raw(const Bytes& b);            ///< raw bytes, no prefix
+  void bytes(ByteView b);  ///< u32 length prefix + raw bytes
+  void raw(ByteView b);    ///< raw bytes, no prefix
   void u32_vec(const std::vector<std::uint32_t>& v);
   void str(const std::string& s);
 
@@ -77,7 +77,7 @@ class Writer {
 /// Non-throwing deserializer over a borrowed buffer.
 class Reader {
  public:
-  explicit Reader(const Bytes& b) noexcept : buf_(&b) {}
+  explicit Reader(ByteView b) noexcept : buf_(b) {}
 
   [[nodiscard]] std::uint8_t u8();
   [[nodiscard]] std::uint32_t u32();
@@ -85,19 +85,19 @@ class Reader {
   [[nodiscard]] Bytes bytes();
   /// Like bytes(), but a borrowed view into the buffer — no allocation.
   /// Valid only while the underlying buffer is alive and unmodified.
-  [[nodiscard]] std::span<const std::uint8_t> bytes_view();
+  [[nodiscard]] ByteView bytes_view();
   [[nodiscard]] std::vector<std::uint32_t> u32_vec();
   [[nodiscard]] std::string str();
 
   /// True iff no read so far ran past the end of the buffer.
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   /// True iff the whole buffer was consumed and all reads succeeded.
-  [[nodiscard]] bool done() const noexcept { return ok_ && pos_ == buf_->size(); }
+  [[nodiscard]] bool done() const noexcept { return ok_ && pos_ == buf_.size(); }
 
  private:
   [[nodiscard]] bool take(std::size_t n) noexcept;
 
-  const Bytes* buf_;
+  ByteView buf_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };

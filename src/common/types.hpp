@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +22,9 @@ using Round = std::uint32_t;
 
 /// Raw message payload.
 using Bytes = std::vector<std::uint8_t>;
+
+/// Read-only view of bytes owned elsewhere; a `Bytes` converts implicitly.
+using ByteView = std::span<const std::uint8_t>;
 
 /// Sentinel for "no party" (a party matched with nobody).
 inline constexpr PartyId kNobody = UINT32_MAX;

@@ -21,7 +21,7 @@ constexpr std::uint8_t kFrameTag = 0xD3;
   return d - 1;
 }
 
-[[nodiscard]] Bytes wrap(PartyId from_big, PartyId to_big, const Bytes& payload) {
+[[nodiscard]] Bytes wrap(PartyId from_big, PartyId to_big, ByteView payload) {
   Writer w;
   w.u8(kFrameTag);
   w.u32(from_big);
@@ -30,19 +30,20 @@ constexpr std::uint8_t kFrameTag = 0xD3;
   return w.take();
 }
 
+/// A decoded frame; `payload` is a view into the wrapped bytes.
 struct Frame {
   PartyId from_big;
   PartyId to_big;
-  Bytes payload;
+  ByteView payload;
 };
 
-[[nodiscard]] std::optional<Frame> unwrap(const Bytes& bytes) {
+[[nodiscard]] std::optional<Frame> unwrap(ByteView bytes) {
   Reader r(bytes);
   if (r.u8() != kFrameTag) return std::nullopt;
   Frame f;
   f.from_big = r.u32();
   f.to_big = r.u32();
-  f.payload = r.bytes();
+  f.payload = r.bytes_view();
   if (!r.done()) return std::nullopt;
   return f;
 }
@@ -51,14 +52,14 @@ struct Frame {
 /// topology, big PKI, with sends routed back through the simulator.
 class BigContext final : public net::Context {
  public:
-  using SendFn = std::function<void(PartyId, const Bytes&)>;
+  using SendFn = std::function<void(PartyId, ByteView)>;
 
   BigContext(PartyId self_big, Round round, const net::Topology& topo, const crypto::Pki& pki,
              SendFn send)
       : self_(self_big), round_(round), topo_(&topo), pki_(&pki),
         signer_(pki.signer_for(self_big)), send_(std::move(send)) {}
 
-  void send(PartyId to, const Bytes& payload) override {
+  void send(PartyId to, ByteView payload) override {
     const bool channel = to == self_ || topo_->connected(self_, to);
     require(channel, "Lemma3 BigContext: inner process used a nonexistent big channel");
     send_(to, payload);
@@ -139,10 +140,14 @@ GroupSimulation::GroupSimulation(const BsmConfig& big, const ProtocolSpec& big_p
 
 void GroupSimulation::on_round(net::Context& ctx, net::Inbox inbox) {
   // Assemble each member's big inbox: last round's intra-group messages
-  // plus unwrapped frames from the other simulators.
+  // (whose bytes `internal` keeps alive this round) plus unwrapped frames
+  // from the other simulators.
   std::map<PartyId, std::vector<net::Envelope>> big_inbox;
-  for (auto& env : internal_) big_inbox[env.to].push_back(env);
+  const std::vector<Internal> internal = std::move(internal_);
   internal_.clear();
+  for (const Internal& m : internal) {
+    big_inbox[m.to].push_back(net::Envelope{m.from, m.to, m.round, m.payload});
+  }
   for (const auto& env : inbox) {
     const auto frame = unwrap(env.payload);
     if (!frame) continue;
@@ -162,10 +167,11 @@ void GroupSimulation::on_round(net::Context& ctx, net::Inbox inbox) {
   for (auto& [big_id, process] : members_) {
     BigContext big_ctx(
         big_id, ctx.round(), big_topo_, *big_pki_,
-        [&, member = big_id](PartyId to_big, const Bytes& payload) {
+        [&, member = big_id](PartyId to_big, ByteView payload) {
           const PartyId owner = lemma3_owner(big_.k, d_, to_big);
           if (owner == self_small_) {
-            internal_.push_back(net::Envelope{member, to_big, ctx.round(), payload});
+            Internal m{member, to_big, ctx.round(), Bytes(payload.begin(), payload.end())};
+            internal_.push_back(std::move(m));
           } else {
             ctx.send(owner, wrap(member, to_big, payload));
           }

@@ -54,6 +54,15 @@ class GroupSimulation final : public BsmProcess {
   [[nodiscard]] PartyId decision() const override;
 
  private:
+  /// An intra-group message, delivered next round. It outlives the round's
+  /// payload arena, so it owns its bytes.
+  struct Internal {
+    PartyId from = kNobody;
+    PartyId to = kNobody;
+    Round round = 0;
+    Bytes payload;
+  };
+
   BsmConfig big_;
   std::uint32_t d_;
   PartyId self_small_;
@@ -61,7 +70,7 @@ class GroupSimulation final : public BsmProcess {
   net::Topology big_topo_;
   std::shared_ptr<const crypto::Pki> big_pki_;
   std::map<PartyId, std::unique_ptr<BsmProcess>> members_;  ///< big id -> inner process
-  std::vector<net::Envelope> internal_;                     ///< intra-group, next round
+  std::vector<Internal> internal_;                          ///< intra-group, next round
 };
 
 }  // namespace bsm::core

@@ -1,7 +1,16 @@
 #include "net/engine.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
+
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "common/hash.hpp"
 #include "obs/recorder.hpp"
@@ -10,20 +19,27 @@ namespace bsm::net {
 
 namespace {
 
+/// First PayloadArena block. A k = 3 run sends about 20 KB in all, so a
+/// small first block keeps short runs cheap; busy rounds grow the arena
+/// geometrically and keep the blocks.
+constexpr std::size_t kFirstBlockBytes = 4096;
+
 /// The engine-backed context: validates channel use and collects sends.
 class EngineContext final : public Context {
  public:
   EngineContext(PartyId self, Round round, const Topology& topo, const crypto::Pki& pki,
-                crypto::Signer signer, std::vector<Envelope>& out, bool corrupt)
+                crypto::Signer signer, std::vector<Envelope>& out, PayloadArena& bytes,
+                bool corrupt)
       : self_(self),
         round_(round),
         topo_(&topo),
         pki_(&pki),
         signer_(signer),
         out_(&out),
+        bytes_(&bytes),
         corrupt_(corrupt) {}
 
-  void send(PartyId to, const Bytes& payload) override {
+  void send(PartyId to, ByteView payload) override {
     const bool channel = to == self_ || topo_->connected(self_, to);
     if (!channel) {
       // Honest code sending along a nonexistent channel is a bug; byzantine
@@ -31,18 +47,16 @@ class EngineContext final : public Context {
       require(corrupt_, "Context::send: honest process used a nonexistent channel");
       return;
     }
-    // Payload-digest memo: a broadcast pushes the same bytes once per
-    // recipient, back to back. Comparing against the envelope we just
-    // queued (alive in out_) turns n payload hashes into one hash plus
-    // n - 1 memcmps; the delivery fold consumes the digest.
-    std::uint64_t digest = 0;
-    if (last_idx_ < out_->size() && (*out_)[last_idx_].payload == payload) {
-      digest = (*out_)[last_idx_].payload_digest;
-    } else {
-      digest = fnv1a64(payload);
+    // A broadcast pushes the same bytes once per recipient, back to back.
+    // Comparing against this context's previous send turns n stores and n
+    // payload hashes into one of each plus n - 1 memcmps: every envelope
+    // of the broadcast shares one view and one digest, which the delivery
+    // fold consumes.
+    if (!std::ranges::equal(payload, last_)) {
+      last_ = bytes_->store(payload);
+      last_digest_ = fnv1a64(last_);
     }
-    last_idx_ = out_->size();
-    out_->push_back(Envelope{self_, to, round_, payload, digest});
+    out_->push_back(Envelope{self_, to, round_, last_, last_digest_});
   }
 
   [[nodiscard]] Round round() const override { return round_; }
@@ -58,11 +72,39 @@ class EngineContext final : public Context {
   const crypto::Pki* pki_;
   crypto::Signer signer_;
   std::vector<Envelope>* out_;
+  PayloadArena* bytes_;
   bool corrupt_;
-  std::size_t last_idx_ = SIZE_MAX;  ///< index of this context's last send
+  ByteView last_;                  ///< this context's last stored payload
+  std::uint64_t last_digest_ = 0;  ///< fnv1a64(last_), 0 before the first store
 };
 
 }  // namespace
+
+ByteView PayloadArena::store(ByteView bytes) {
+  const std::size_t n = bytes.size();
+  if (n == 0) return {};
+  while (block_ < blocks_.size() && blocks_[block_].size - used_ < n) {
+    ++block_;
+    used_ = 0;
+  }
+  if (block_ == blocks_.size()) {
+    const std::size_t size =
+        std::max(n, blocks_.empty() ? kFirstBlockBytes : 2 * blocks_.back().size);
+    blocks_.push_back(Block{std::make_unique_for_overwrite<std::uint8_t[]>(size), size});
+    ASAN_POISON_MEMORY_REGION(blocks_.back().data.get(), size);
+  }
+  std::uint8_t* const out = blocks_[block_].data.get() + used_;
+  ASAN_UNPOISON_MEMORY_REGION(out, n);
+  std::memcpy(out, bytes.data(), n);
+  used_ += n;
+  return {out, n};
+}
+
+void PayloadArena::reset() noexcept {
+  for (const Block& b : blocks_) ASAN_POISON_MEMORY_REGION(b.data.get(), b.size);
+  block_ = 0;
+  used_ = 0;
+}
 
 void Mailbox::assemble(std::vector<Envelope>&& sends, std::size_t n) {
   // Group by recipient, ordered by sender id, ties in deterministic
@@ -159,9 +201,10 @@ void Engine::deliver_and_step() {
     }
   }
 
-  // Batch last round's sends into the arena: one buffer, payloads moved.
-  // With a delivery policy installed, the batch is the policy's verdict
-  // over fresh sends plus the carried envelopes due this round.
+  // Batch last round's sends into the mailbox; their payloads stay in
+  // deliver_bytes_. With a delivery policy installed, the batch is the
+  // policy's verdict over fresh sends plus the carried envelopes due this
+  // round.
   if (policy_ == nullptr) {
     mailbox_.assemble(std::move(in_flight_), slots_.size());
     if (rec != nullptr) {
@@ -197,13 +240,16 @@ void Engine::deliver_and_step() {
     t0 = t1;
   }
 
-  // Step every installed process against its arena slice.
+  // Step every installed process against its arena slice. The send arena
+  // last held the payloads delivered a round ago, which are dead now.
+  send_bytes_.reset();
   std::vector<Envelope> outgoing = std::move(scratch_);
   outgoing.clear();
   for (PartyId id = 0; id < slots_.size(); ++id) {
     auto& slot = slots_[id];
     if (slot.process == nullptr) continue;
-    EngineContext ctx(id, round_, topo_, pki_, pki_.signer_for(id), outgoing, slot.corrupt);
+    EngineContext ctx(id, round_, topo_, pki_, pki_.signer_for(id), outgoing, send_bytes_,
+                      slot.corrupt);
     slot.process->on_round(ctx, mailbox_.inbox(id));
   }
 
@@ -211,6 +257,7 @@ void Engine::deliver_and_step() {
   for (const auto& env : outgoing) stats_.bytes += env.payload.size();
   scratch_ = mailbox_.recycle();
   in_flight_ = std::move(outgoing);
+  std::swap(send_bytes_, deliver_bytes_);
   if (rec != nullptr) {
     rec->record(obs::Span::EngineOnRound, t0, rec->now_ns(), round_);
     rec->count(obs::Counter::EngineRounds);
@@ -225,12 +272,15 @@ void Engine::assemble_with_policy() {
   // sends (sender order). At equal (rank, sender) the stable sort keeps
   // exactly this order, so a delayed message lands *before* the sender's
   // newer traffic in the recipient's inbox.
+  // A carried envelope's bytes are copied into the arena being delivered,
+  // so every envelope in the mailbox views the same round's arena.
   auto& merged = deliver_scratch_;
   merged.clear();
   std::size_t keep = 0;
   for (std::size_t i = 0; i < carried_.size(); ++i) {
     if (carried_[i].due <= round_) {
       merged.push_back(std::move(carried_[i]));
+      merged.back().env.payload = deliver_bytes_.store(merged.back().bytes);
     } else {
       if (keep != i) carried_[keep] = std::move(carried_[i]);  // self-move guard
       ++keep;
@@ -242,10 +292,11 @@ void Engine::assemble_with_policy() {
     const DeliveryVerdict v = policy_->on_envelope(round_, env);
     switch (v.action) {
       case DeliveryVerdict::Action::Deliver:
-        merged.push_back({std::move(env), round_, v.rank});
+        merged.push_back({env, round_, v.rank, {}});
         break;
       case DeliveryVerdict::Action::Delay:
-        carried_.push_back({std::move(env), round_ + std::max<Round>(v.delay, 1), v.rank});
+        carried_.push_back({env, round_ + std::max<Round>(v.delay, 1), v.rank,
+                            Bytes(env.payload.begin(), env.payload.end())});
         break;
       case DeliveryVerdict::Action::Drop:
         ++stats_.dropped_messages;
@@ -266,7 +317,7 @@ void Engine::assemble_with_policy() {
   std::vector<Envelope> deliver = std::move(in_flight_);  // reuse the send buffer
   deliver.clear();
   deliver.reserve(merged.size());
-  for (auto& c : merged) deliver.push_back(std::move(c.env));
+  for (const auto& c : merged) deliver.push_back(c.env);
   mailbox_.assemble(std::move(deliver), slots_.size());
   in_flight_.clear();
 }

@@ -6,10 +6,14 @@
 // a corruption scheduled mid-run (the adaptive adversary), at which point
 // the adversarial strategy process replaces the honest one.
 //
-// Delivery is batched: each round's messages live in one contiguous arena
+// Delivery is batched: each round's envelopes live in one contiguous arena
 // (the Mailbox), grouped by recipient and ordered by sender, and every
-// process receives its inbox as a zero-copy slice of that arena. Payloads
-// are moved, never copied, from send to delivery.
+// process receives its inbox as a zero-copy slice of that arena. Payload
+// bytes live in a second, per-round byte arena (PayloadArena): a send
+// copies its bytes in once, consecutive identical sends from one party (a
+// broadcast) share that copy and its digest, and envelopes carry views.
+// Both arenas are recycled round over round, so steady-state sends and
+// deliveries allocate nothing.
 //
 // For the impossibility experiments the engine records, per party, a hash
 // of everything the party has received — two runs are indistinguishable to
@@ -60,7 +64,8 @@ struct TrafficStats {
 /// One round's deliveries as a single flat arena: envelopes grouped by
 /// recipient, ordered by sender id within each group (ties keep send
 /// order). Buffers are recycled round over round — steady state makes no
-/// envelope allocations, and payloads are moved in, never copied.
+/// envelope allocations. Envelopes are small values; their payload bytes
+/// stay in the PayloadArena they were sent into.
 ///
 /// The (sender id, send order) delivery order is THE determinism contract
 /// of the engine: it fixes each party's inbox byte-for-byte given the
@@ -90,6 +95,31 @@ class Mailbox {
   std::vector<std::size_t> offsets_;  ///< n + 1 arena offsets, one per recipient
   std::vector<Envelope> scatter_;     ///< counting-sort target, recycled round over round
   std::vector<std::size_t> cursor_;   ///< per-recipient scatter cursors
+};
+
+/// One round's payload bytes. store() copies bytes in and returns a view
+/// that stays valid until the next reset(): a block never moves once its
+/// bytes are handed out. Blocks are kept and reused round over round, grow
+/// geometrically from a small first block, and are not zero-filled.
+///
+/// Under AddressSanitizer, reset() poisons every block and store()
+/// unpoisons exactly the bytes it hands out, so a payload view read after
+/// its round is reported as use-after-poison instead of silently reading
+/// a later round's bytes.
+class PayloadArena {
+ public:
+  [[nodiscard]] ByteView store(ByteView bytes);
+  void reset() noexcept;
+
+ private:
+  struct Block {
+    std::unique_ptr<std::uint8_t[]> data;
+    std::size_t size = 0;
+  };
+
+  std::vector<Block> blocks_;
+  std::size_t block_ = 0;  ///< block the next store() writes into
+  std::size_t used_ = 0;   ///< bytes handed out from blocks_[block_]
 };
 
 class Engine {
@@ -155,7 +185,8 @@ class Engine {
 
   /// Wiretap for tests and tooling: called once per *delivered* envelope
   /// (at the start of the round it arrives in). Observation only — the
-  /// observer cannot alter traffic.
+  /// observer cannot alter traffic. The envelope's payload view is valid
+  /// for the rest of that round; an observer that keeps bytes copies them.
   using Observer = std::function<void(const Envelope&)>;
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
@@ -183,11 +214,16 @@ class Engine {
     std::unique_ptr<Process> strategy;
   };
 
-  /// One policy-delayed envelope waiting for its delivery round.
+  /// One policy-delayed envelope waiting for its delivery round. A delayed
+  /// envelope outlives the arena it was sent into, so it owns a copy of
+  /// its payload in `bytes`, and `env.payload` is re-pointed into the
+  /// delivering arena when it comes due. Fresh sends in the merge buffer
+  /// leave `bytes` empty.
   struct Carried {
     Envelope env;
     Round due = 0;
     std::uint32_t rank = 0;
+    Bytes bytes;
   };
 
   void deliver_and_step();
@@ -200,6 +236,9 @@ class Engine {
   std::vector<Envelope> in_flight_;
   std::vector<Envelope> scratch_;  ///< recycled send buffer
   Mailbox mailbox_;
+  /// Payload bytes: this round's sends, and the round being delivered.
+  PayloadArena send_bytes_;
+  PayloadArena deliver_bytes_;
   Round round_ = 0;         ///< protocol rounds completed
   Round engine_round_ = 0;  ///< engine ticks, stalled rounds included
   TrafficStats stats_;

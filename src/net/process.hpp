@@ -28,7 +28,11 @@ struct Envelope {
   PartyId from = kNobody;
   PartyId to = kNobody;
   Round sent_round = 0;
-  Bytes payload;
+  /// A view into the engine's per-round payload arena, valid until the end
+  /// of the round the envelope is delivered in. The n envelopes of one
+  /// broadcast share one stored copy. A process that keeps a message past
+  /// its on_round call copies the bytes.
+  ByteView payload;
   /// Engine-internal memo: fnv1a64(payload) when nonzero, unset when 0 (the
   /// delivery fold recomputes it then). Lets the n copies of one broadcast
   /// share a single payload hash. Shims that build their own envelopes can
@@ -50,7 +54,10 @@ class Context {
   /// Queue `payload` for delivery to `to` next round. Sends to parties the
   /// sender shares no channel with are dropped (self-sends are allowed and
   /// loop back next round — protocols routinely "send to all incl. self").
-  virtual void send(PartyId to, const Bytes& payload) = 0;
+  /// The engine copies the bytes before returning, so `payload` need only
+  /// live for the call; the recipient's view of them lives for the round
+  /// they are delivered in.
+  virtual void send(PartyId to, ByteView payload) = 0;
 
   [[nodiscard]] virtual Round round() const = 0;
   [[nodiscard]] virtual PartyId self() const = 0;

@@ -1,6 +1,6 @@
 #include "net/relay.hpp"
 
-#include "common/hash.hpp"
+#include <algorithm>
 
 namespace bsm::net {
 
@@ -13,16 +13,16 @@ constexpr std::uint8_t kRelayFwd = 2;
 
 }  // namespace
 
-Bytes RelayRouter::signed_content(PartyId src, PartyId dst, std::uint64_t id, Round tau,
-                                  const Bytes& body) {
-  Writer w;
-  w.str("relay");
-  w.u32(src);
-  w.u32(dst);
-  w.u64(id);
-  w.u32(tau);
-  w.bytes(body);
-  return w.take();
+const Bytes& RelayRouter::signed_content(PartyId src, PartyId dst, std::uint64_t id, Round tau,
+                                         ByteView body) {
+  signed_.truncate(0);
+  signed_.str("relay");
+  signed_.u32(src);
+  signed_.u32(dst);
+  signed_.u64(id);
+  signed_.u32(tau);
+  signed_.bytes(body);
+  return signed_.data();
 }
 
 void RelayRouter::send(Context& ctx, PartyId to, const Bytes& body) {
@@ -122,23 +122,18 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
         ++rejected_;
         continue;
       }
-      if (auth) {
-        const Bytes body(body_view.begin(), body_view.end());
-        if (!ctx.pki().verify(src, signed_content(src, dst, id, tau, body), sig)) {
-          ++rejected_;
-          continue;
-        }
+      if (auth && !ctx.pki().verify(src, signed_content(src, dst, id, tau, body_view), sig)) {
+        ++rejected_;
+        continue;
       }
       // The forwarded frame is the request frame with the tag swapped and
       // the source prepended (dst == the request's `to`, all other fields
       // verbatim) — patching the received bytes is byte-identical to the
       // re-encode it replaces.
-      Bytes fwd;
-      fwd.reserve(env.payload.size() + 4);
-      fwd.push_back(kRelayFwd);
-      append_u32_le(fwd, src);
-      fwd.insert(fwd.end(), env.payload.begin() + 1, env.payload.end());
-      ctx.send(dst, fwd);
+      forward_.assign(1, kRelayFwd);
+      append_u32_le(forward_, src);
+      forward_.insert(forward_.end(), env.payload.begin() + 1, env.payload.end());
+      ctx.send(dst, forward_);
       continue;
     }
 
@@ -158,25 +153,29 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
       if (accepted_.contains({src, id})) continue;  // replay / duplicate
 
       if (mode_ == RelayMode::UnauthMajority) {
-        // Count distinct forwarders vouching for identical content. The
-        // body is materialized once per distinct content, not per copy;
-        // a digest collision inside one (src, id) bucket would merge
-        // votes, exactly as it (harmlessly, and identically) did when the
-        // seed implementation keyed this map by fnv1a64 too.
-        auto& bucket = pending_[MajorityKey{src, id}];
-        auto& [stored, voters] = bucket.by_digest[fnv1a64(body_view)];
-        if (stored.empty()) stored.assign(body_view.begin(), body_view.end());
-        voters.insert(env.from);
-        if (2 * voters.count() > k) {
+        // Count distinct forwarders vouching for byte-identical content.
+        // Bodies are compared in full, never by digest: a byzantine relay
+        // could otherwise forge a body that shares the honest one's
+        // digest and collect the honest relays' votes for it. The body is
+        // materialized once per distinct content, not per copy.
+        auto& candidates = pending_[MajorityKey{src, id}];
+        auto it = std::ranges::find_if(candidates, [&](const Candidate& c) {
+          return std::ranges::equal(c.body, body_view);
+        });
+        if (it == candidates.end()) {
+          candidates.push_back({Bytes(body_view.begin(), body_view.end()), {}});
+          it = candidates.end() - 1;
+        }
+        it->voters.insert(env.from);
+        if (2 * it->voters.count() > k) {
           accepted_.insert({src, id});
-          out.push_back(AppMsg{src, std::move(stored)});
+          out.push_back(AppMsg{src, std::move(it->body)});
           pending_.erase(MajorityKey{src, id});
         }
         continue;
       }
-      Bytes body(body_view.begin(), body_view.end());
 
-      if (!ctx.pki().verify(src, signed_content(src, dst, id, tau, body), sig)) {
+      if (!ctx.pki().verify(src, signed_content(src, dst, id, tau, body_view), sig)) {
         ++rejected_;
         continue;
       }
@@ -185,7 +184,7 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
         continue;
       }
       accepted_.insert({src, id});
-      out.push_back(AppMsg{src, std::move(body)});
+      out.push_back(AppMsg{src, Bytes(body_view.begin(), body_view.end())});
       continue;
     }
 

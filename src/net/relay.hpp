@@ -4,7 +4,7 @@
 //  - UnauthMajority (Lemma 6): the sender hands the message to every party
 //    on the opposite side; each honest one forwards it; the receiver accepts
 //    a message once a strict majority (> k/2) of distinct forwarders vouch
-//    for identical content. Sound while the relay side has an honest
+//    for byte-identical content. Sound while the relay side has an honest
 //    majority; adds exactly 2 rounds (2 * Delta).
 //  - AuthSigned (Lemma 8): the sender signs (src, dst, id, body); relays
 //    forward; the receiver accepts the first copy with a valid signature.
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -77,23 +76,32 @@ class RelayRouter {
       return static_cast<std::size_t>(hash_combine(k.src, k.id));
     }
   };
-  struct MajorityBucket {
-    // Distinct contents per (src, id) are adversarial and rare; the inner
-    // map stays ordered but its values are flat (bytes + voter bitset).
-    std::map<std::uint64_t, std::pair<Bytes, core::PartySet>> by_digest;
+  /// One distinct body forwarded for a (src, id), with the relays that
+  /// vouched for exactly these bytes.
+  struct Candidate {
+    Bytes body;
+    core::PartySet voters;
   };
 
-  [[nodiscard]] static Bytes signed_content(PartyId src, PartyId dst, std::uint64_t id,
-                                            Round tau, const Bytes& body);
+  /// The signed tuple (src, dst, id, tau, body), encoded into signed_.
+  [[nodiscard]] const Bytes& signed_content(PartyId src, PartyId dst, std::uint64_t id, Round tau,
+                                            ByteView body);
 
   RelayMode mode_;
   std::uint64_t next_id_ = 0;
   // (src, id) replay guard and vote accumulator: hash tables — both are
   // probed once per forwarded copy and never iterated, so bucket order
-  // cannot leak into behavior.
+  // cannot leak into behavior. Distinct bodies per (src, id) are
+  // adversarial and rare, so each bucket is a short list matched by full
+  // bytes.
   std::unordered_set<MajorityKey, MajorityKeyHash> accepted_;
-  std::unordered_map<MajorityKey, MajorityBucket, MajorityKeyHash> pending_;
+  std::unordered_map<MajorityKey, std::vector<Candidate>, MajorityKeyHash> pending_;
   std::uint64_t rejected_ = 0;
+  // Scratch buffers reused across calls. Context::send copies a forward
+  // frame into the round's payload arena, and Pki::verify reads signed
+  // content only during the call, so neither needs its own allocation.
+  Writer signed_;
+  Bytes forward_;
   // Common-neighbour lists are a pure function of (self, to, topology), so
   // each router memoizes them: the send loop walked every party with two
   // adjacency probes per candidate, per message. Ascending id order is

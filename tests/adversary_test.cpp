@@ -16,7 +16,7 @@ class Beacon final : public net::Process {
 
   void on_round(net::Context& ctx, net::Inbox inbox) override {
     ctx.send(peer_, payload_);
-    for (const auto& env : inbox) heard_.push_back(env.payload);
+    for (const auto& env : inbox) heard_.emplace_back(env.payload.begin(), env.payload.end());
   }
 
   std::vector<Bytes> heard_;
@@ -69,7 +69,7 @@ TEST(Shims, SendFilteredDropsSelectedTraffic) {
   net::Engine engine(net::Topology(net::TopologyKind::FullyConnected, 2), 1);
   auto inner = std::make_unique<Beacon>(1, Bytes{5});
   engine.set_corrupt(0, std::make_unique<SendFiltered>(
-                            std::move(inner), [](PartyId to, const Bytes&) { return to != 1; }));
+                            std::move(inner), [](PartyId to, ByteView) { return to != 1; }));
   for (PartyId id = 1; id < 4; ++id) {
     engine.set_process(id, std::make_unique<Beacon>(2, Bytes{std::uint8_t(id)}));
   }
@@ -152,7 +152,8 @@ TEST(Shims, SplitBrainSelfSendsStayInWorld) {
     void on_round(net::Context& ctx, net::Inbox inbox) override {
       ctx.send(ctx.self(), Bytes{tag_});
       for (const auto& env : inbox) {
-        ASSERT_EQ(env.payload, Bytes{tag_});  // never the other world's tag
+        const Bytes payload(env.payload.begin(), env.payload.end());
+        ASSERT_EQ(payload, Bytes{tag_});  // never the other world's tag
         ++echoes_;
       }
     }

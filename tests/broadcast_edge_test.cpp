@@ -113,7 +113,7 @@ class ChainForger final : public net::Process {
     if (ctx.round() != 1) return;  // arrive at step >= 1 with 1 "signature"
     Writer chain;
     chain.u8(6);  // MsgKind::Chain
-    chain.bytes({66});
+    chain.bytes(Bytes{66});
     chain.u32(1);
     chain.u32(0);                               // claimed signer: the sender
     crypto::Signature{0, 0xDEAD}.encode(chain);  // forged tag
@@ -178,7 +178,7 @@ TEST(HubEdge, NonParticipantTrafficIsFiltered) {
     void on_round(net::Context& ctx, net::Inbox) override {
       Writer kv;
       kv.u8(1);  // MsgKind::Value
-      kv.bytes({0xEE});
+      kv.bytes(Bytes{0xEE});
       Writer frame;
       frame.u32(0);
       frame.bytes(kv.data());
@@ -237,11 +237,11 @@ TEST(BBviaBAEdge, FactoryDurationMismatchIsCaught) {
 TEST(WireEdge, KvDecodingRejectsMalformedKinds) {
   Writer w;
   w.u8(0);  // invalid kind
-  w.bytes({1});
+  w.bytes(Bytes{1});
   EXPECT_FALSE(decode_kv(w.data()).has_value());
   Writer w2;
   w2.u8(1);
-  w2.bytes({1});
+  w2.bytes(Bytes{1});
   w2.u8(0xFF);  // trailing byte
   EXPECT_FALSE(decode_kv(w2.data()).has_value());
   EXPECT_FALSE(decode_kv({}).has_value());

@@ -287,7 +287,7 @@ TEST(OmissionBA, WeakAgreementUnderOmissions) {
     if (id != 3) {
       engine.set_process(id, std::make_unique<adversary::SendFiltered>(
                                  std::move(host),
-                                 [](PartyId to, const Bytes&) { return to != 3; }));
+                                 [](PartyId to, ByteView) { return to != 3; }));
     } else {
       engine.set_process(id, std::move(host));
     }

@@ -54,7 +54,7 @@ TEST(Codec, RoundTripScalars) {
 
 TEST(Codec, RoundTripComposites) {
   Writer w;
-  w.bytes({1, 2, 3});
+  w.bytes(Bytes{1, 2, 3});
   w.u32_vec({10, 20, 30});
   w.str("hello");
   Reader r(w.data());

@@ -86,7 +86,7 @@ TEST(PiBsm, RelayDroppingCausesConsistentOmissionHandling) {
         {r, 0,
          std::make_unique<adversary::SendFiltered>(
              honest_process_for(spec, r, spec.inputs.list(r)),
-             [](PartyId, const Bytes& payload) {
+             [](PartyId, ByteView payload) {
                return payload.empty() || payload[0] != 2;  // drop RelayFwd frames
              })});
   }

@@ -60,7 +60,7 @@ TEST(Lemma3Misc, SpoofedCrossGroupFramesAreDropped) {
       w.u8(0xD3);
       w.u32(0);  // from_big: owned by small 0, not us
       w.u32(2);  // to_big
-      w.bytes({1, 2, 3});
+      w.bytes(Bytes{1, 2, 3});
       for (PartyId p = 0; p < 4; ++p) {
         if (p != ctx.self()) ctx.send(p, w.data());
       }
@@ -85,7 +85,7 @@ TEST(AdversaryMisc, CrashAtZeroIsSilent) {
   class Chatty final : public net::Process {
    public:
     void on_round(net::Context& ctx, net::Inbox) override {
-      ctx.send(1, {1});
+      ctx.send(1, Bytes{1});
     }
   };
   engine.set_corrupt(0, std::make_unique<adversary::CrashAt>(0, std::make_unique<Chatty>()));
@@ -123,7 +123,7 @@ TEST(AdversaryMisc, FilteringContextPassesMetadata) {
   auto probe = std::make_unique<Probe>();
   auto* ptr = probe.get();
   engine.set_corrupt(0, std::make_unique<adversary::SendFiltered>(
-                            std::move(probe), [](PartyId, const Bytes&) { return false; }));
+                            std::move(probe), [](PartyId, ByteView) { return false; }));
   for (PartyId id = 1; id < 4; ++id) engine.set_process(id, std::make_unique<adversary::Silent>());
   engine.run_guarded(1);
   EXPECT_EQ(ptr->self_seen_, 0U);

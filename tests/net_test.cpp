@@ -64,10 +64,18 @@ class PingProcess final : public Process {
 
   void on_round(Context& ctx, Inbox inbox) override {
     if (ctx.round() == 0) ctx.send(peer_, payload_);
-    for (const auto& env : inbox) heard_.push_back(env);
+    // Payload views live for one round: keep a copy of the bytes.
+    for (const auto& env : inbox) {
+      heard_.push_back({env.from, env.sent_round, Bytes(env.payload.begin(), env.payload.end())});
+    }
   }
 
-  std::vector<Envelope> heard_;
+  struct Heard {
+    PartyId from;
+    Round sent_round;
+    Bytes payload;
+  };
+  std::vector<Heard> heard_;
 
  private:
   PartyId peer_;
@@ -125,7 +133,7 @@ TEST(Engine, ScheduledCorruptionReplacesProcess) {
   // round 2 it is replaced by silence.
   class Chatty final : public Process {
    public:
-    void on_round(Context& ctx, Inbox) override { ctx.send(1, {9}); }
+    void on_round(Context& ctx, Inbox) override { ctx.send(1, Bytes{9}); }
   };
   class Quiet final : public Process {
    public:

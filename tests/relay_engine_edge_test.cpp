@@ -192,7 +192,7 @@ TEST(EngineEdge, CorruptionScheduledBeforeRunZeroActsFromStart) {
   Engine engine(Topology(TopologyKind::FullyConnected, 1), 1);
   class Chatty final : public Process {
    public:
-    void on_round(Context& ctx, Inbox) override { ctx.send(1, {1}); }
+    void on_round(Context& ctx, Inbox) override { ctx.send(1, Bytes{1}); }
   };
   engine.set_process(0, std::make_unique<Chatty>());
   class Count final : public Process {

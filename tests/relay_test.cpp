@@ -3,7 +3,11 @@
 // rejection, replay protection, and the 2-Delta timing window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "common/codec.hpp"
+#include "common/hash.hpp"
 #include "net/engine.hpp"
 #include "net/relay.hpp"
 
@@ -40,17 +44,21 @@ class RelayUser final : public Process {
 };
 
 /// Byzantine relay: behaves like an honest router user, except every
-/// outgoing forward has one body byte flipped (content garbling).
+/// outgoing forward passes through `garble` first (by default one body
+/// byte is flipped: content garbling).
 class GarblingRelay final : public Process {
  public:
-  explicit GarblingRelay(RelayMode mode) : router_(mode) {}
+  using Garble = std::function<void(Bytes&)>;
+
+  explicit GarblingRelay(RelayMode mode, Garble garble = flip_last_byte)
+      : router_(mode), garble_(std::move(garble)) {}
 
   void on_round(Context& ctx, Inbox inbox) override {
     struct Shim final : Context {
-      explicit Shim(Context& base) : base_(&base) {}
-      void send(PartyId to, const Bytes& payload) override {
-        Bytes mutated = payload;
-        if (!mutated.empty()) mutated.back() ^= 0x01;
+      Shim(Context& base, const Garble& garble) : base_(&base), garble_(&garble) {}
+      void send(PartyId to, ByteView payload) override {
+        Bytes mutated(payload.begin(), payload.end());
+        (*garble_)(mutated);
         base_->send(to, mutated);
       }
       [[nodiscard]] Round round() const override { return base_->round(); }
@@ -59,12 +67,18 @@ class GarblingRelay final : public Process {
       [[nodiscard]] const crypto::Signer& signer() const override { return base_->signer(); }
       [[nodiscard]] const crypto::Pki& pki() const override { return base_->pki(); }
       Context* base_;
-    } shim(ctx);
+      const Garble* garble_;
+    } shim(ctx, garble_);
     (void)router_.route(shim, inbox);
   }
 
  private:
+  static void flip_last_byte(Bytes& frame) {
+    if (!frame.empty()) frame.back() ^= 0x01;
+  }
+
   RelayRouter router_;
+  Garble garble_;
 };
 
 /// Byzantine relay that buffers its inbox and performs its forwarding duty
@@ -74,10 +88,20 @@ class DelayingRelay final : public Process {
   DelayingRelay(RelayMode mode, Round delay) : router_(mode), delay_(delay) {}
 
   void on_round(Context& ctx, Inbox inbox) override {
-    // The inbox slice only lives for this round; a delaying relay must copy.
-    buffer_.emplace_back(inbox.begin(), inbox.end());
+    // The inbox slice and its payload views only live for this round; a
+    // delaying relay copies the envelopes and their bytes, and points the
+    // envelopes at its copies when it replays them.
+    auto& held = buffer_.emplace_back();
+    for (const Envelope& env : inbox) {
+      held.emplace_back(env, Bytes(env.payload.begin(), env.payload.end()));
+    }
     if (buffer_.size() > delay_) {
-      (void)router_.route(ctx, buffer_.front());
+      std::vector<Envelope> replay;
+      for (auto& [env, bytes] : buffer_.front()) {
+        env.payload = bytes;
+        replay.push_back(env);
+      }
+      (void)router_.route(ctx, replay);
       buffer_.erase(buffer_.begin());
     }
   }
@@ -85,7 +109,7 @@ class DelayingRelay final : public Process {
  private:
   RelayRouter router_;
   Round delay_;
-  std::vector<std::vector<Envelope>> buffer_;
+  std::vector<std::vector<std::pair<Envelope, Bytes>>> buffer_;
 };
 
 class SilentProcess final : public Process {
@@ -150,6 +174,29 @@ TEST(Relay, MajoritySurvivesOneGarblingRelayOfThree) {
   EXPECT_EQ(f.user(1).delivered()[0].body, (Bytes{9}));
 }
 
+TEST(Relay, MajorityIsNotFooledByADigestCollision) {
+  // A and B differ but share fnv1a64 = 5e4c31ff7ee36845. Byzantine relay 3
+  // forwards honestly except that it swaps A for B; it forwards first, so
+  // a vote keyed by digest would credit B with the honest relays' votes.
+  const Bytes a{0xd6, 0x4f, 0xdb, 0x5d, 0x81, 0xa4, 0x3a, 0x00};
+  const Bytes b{0x7f, 0x79, 0xe3, 0xd5, 0x6b, 0x8d, 0x2d, 0x4f};
+  ASSERT_NE(a, b);
+  ASSERT_EQ(fnv1a64(a), fnv1a64(b));
+  auto swap_a_for_b = [&](Bytes& frame) {
+    // An unsigned forward ends with its body.
+    if (frame.size() < a.size()) return;
+    const auto body = frame.end() - static_cast<std::ptrdiff_t>(a.size());
+    if (std::equal(a.begin(), a.end(), body)) std::copy(b.begin(), b.end(), body);
+  };
+  Fixture f(3, RelayMode::UnauthMajority);
+  f.script(0, {{0, 1, a}});
+  f.engine.set_corrupt(3, std::make_unique<GarblingRelay>(RelayMode::UnauthMajority, swap_a_for_b));
+  f.engine.run_guarded(4);
+  ASSERT_EQ(f.user(1).delivered().size(), 1U);
+  EXPECT_EQ(f.user(1).delivered()[0].from, 0U);
+  EXPECT_EQ(f.user(1).delivered()[0].body, a);
+}
+
 TEST(Relay, MajorityFailsWithoutHonestMajority) {
   // k = 2: strict majority needs both relays; one silent byzantine relay
   // starves the channel (exactly why Theorem 4 requires tR < k/2).
@@ -165,12 +212,12 @@ TEST(Relay, MajorityRejectsSpoofedSource) {
   // k = 3 the strict majority (2) is never reached.
   Fixture f(3, RelayMode::UnauthMajority);
   Writer w;
-  w.u8(2);        // RelayFwd
-  w.u32(0);       // claimed src
-  w.u32(1);       // dst
-  w.u64(77);      // id
-  w.u32(0);       // tau
-  w.bytes({66});  // body
+  w.u8(2);             // RelayFwd
+  w.u32(0);            // claimed src
+  w.u32(1);            // dst
+  w.u64(77);           // id
+  w.u32(0);            // tau
+  w.bytes(Bytes{66});  // body
   class RawSender final : public Process {
    public:
     explicit RawSender(Bytes frame) : frame_(std::move(frame)) {}

@@ -1,12 +1,13 @@
 // Memory-shape guards for the big-n fast path: a lazy-profile matching at
 // n = 10^5 must run in O(n) live bytes (no hidden n x k materialization),
-// and an engine carrying sparse (ring) traffic must stay O(n), never
-// O(n^2). Enforced with a counting global operator new/delete local to
-// this test binary: every plain allocation carries a 16-byte size header,
-// and the hook tracks live and peak heap bytes. Aligned-new allocations
-// bypass the hook (none of the guarded paths use over-aligned types); the
-// probes measure peak *deltas*, so the harness's own baseline allocations
-// cancel out.
+// an engine carrying sparse (ring) traffic must stay O(n), never O(n^2),
+// and a steady-state engine round allocates nothing. Enforced with a
+// counting global operator new/delete local to this test binary: every
+// plain allocation carries a 16-byte size header, and the hook tracks
+// live and peak heap bytes and the number of allocations. Aligned-new
+// allocations bypass the hook (none of the guarded paths use over-aligned
+// types); the probes measure *deltas*, so the harness's own baseline
+// allocations cancel out.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,8 +27,10 @@ constexpr std::size_t kHeader = 16;  // keeps malloc's max_align_t alignment
 
 std::atomic<std::size_t> g_live{0};
 std::atomic<std::size_t> g_peak{0};
+std::atomic<std::size_t> g_calls{0};
 
 void note_alloc(std::size_t size) noexcept {
+  g_calls.fetch_add(1, std::memory_order_relaxed);
   const std::size_t live = g_live.fetch_add(size, std::memory_order_relaxed) + size;
   std::size_t peak = g_peak.load(std::memory_order_relaxed);
   while (live > peak &&
@@ -136,6 +139,43 @@ TEST(ScaleGuard, SparseEngineChannelMemoryTracksActiveChannels) {
       << "the engine must never allocate channel-matrix-sized blocks";
   EXPECT_EQ(engine.stats().messages, std::uint64_t{n} * 4);
   EXPECT_EQ(engine.stats().delivered_messages, std::uint64_t{n} * 3);
+}
+
+TEST(ScaleGuard, SteadyStatePayloadPathAllocatesNothing) {
+  // 16 parties, each broadcasting the same 48 bytes to all 16 every round.
+  // Once the engine's envelope buffers and payload arenas have grown, a
+  // round stores each broadcast once and allocates nothing; a payload copy
+  // per envelope would cost 256 allocations a round.
+  class Broadcaster final : public net::Process {
+   public:
+    void on_round(net::Context& ctx, net::Inbox) override {
+      for (PartyId to = 0; to < ctx.topology().n(); ++to) ctx.send(to, payload_);
+    }
+
+   private:
+    Bytes payload_ = Bytes(48, 0x5a);
+  };
+
+  net::Engine engine(net::Topology(net::TopologyKind::FullyConnected, 8), 1);
+  const std::uint32_t n = engine.topology().n();
+  ASSERT_EQ(n, 16U);
+  for (PartyId id = 0; id < n; ++id) engine.set_process(id, std::make_unique<Broadcaster>());
+  std::vector<const std::uint8_t*> from_zero;
+  from_zero.reserve(4 * n);
+  engine.set_observer([&](const net::Envelope& env) {
+    if (env.from == 0) from_zero.push_back(env.payload.data());
+  });
+  engine.run_guarded(3);  // warm-up: buffers and arenas reach their size
+
+  from_zero.clear();
+  const std::size_t before = g_calls.load(std::memory_order_relaxed);
+  engine.run_guarded(1);
+  EXPECT_EQ(g_calls.load(std::memory_order_relaxed) - before, 0U);
+
+  ASSERT_EQ(from_zero.size(), n);
+  for (const std::uint8_t* data : from_zero) {
+    EXPECT_EQ(data, from_zero.front()) << "party 0's broadcast is stored once";
+  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """Diff two BENCH_results.json files (schema in docs/BENCHMARKS.md).
 
 Usage: compare_bench_json.py BASELINE CURRENT [--markdown] [--threshold PCT]
-                             [--fail-above PCT]
+                             [--fail-above PCT] [--fail-on-digest-change]
 
 Joins cases by name and reports, per case present in both: baseline vs
 current median wall time, the delta in percent, and whether the digest
@@ -17,11 +17,22 @@ to gate a merge, so regressions never affect the exit code. --fail-above
 PCT opts into a regression threshold: if any case common to both files is
 more than PCT percent slower than its baseline median, the exit code is 3
 (schema problems still win and exit 1). CI keeps the report-only default
-and runs the threshold as a separate advisory step. Exit status:
+and runs the threshold as a separate advisory step.
+
+Digests are different: they fold what a case computed, not how long it
+took, so they do not depend on the machine. --fail-on-digest-change turns
+a CHANGED digest on any case common to both files into exit 4, which
+gates "every digest unchanged" for refactors (CI runs it on the smoke
+slice against the committed BENCH_results.json). Cases whose digest folds
+the git SHA (sweep/jsonl_stream, sweep/shard_overhead) always change
+between commits; leave them out of a gated comparison. A digest change
+outranks a timing regression: with both flags given and both tripped, the
+exit code is 4. Exit status:
   0  both files schema-valid, comparison printed
   1  either file fails schema validation
   2  usage error
   3  --fail-above given and at least one case regressed beyond PCT
+  4  --fail-on-digest-change given and at least one case's digest changed
 """
 import json
 import sys
@@ -51,6 +62,7 @@ def compare(base, cur, threshold):
 
     rows = []
     deltas = {}
+    changed = []
     for name in sorted(base_cases.keys() & cur_cases.keys()):
         b, c = base_cases[name], cur_cases[name]
         delta = 0.0
@@ -61,12 +73,14 @@ def compare(base, cur, threshold):
         if abs(delta) > threshold:
             marker = "slower" if delta > 0 else "faster"
         digest = "same" if b["digest"] == c["digest"] else "CHANGED"
+        if digest == "CHANGED":
+            changed.append(name)
         ok = "ok" if c.get("ok") and c.get("deterministic") else "FAIL"
         rows.append((name, fmt_ms(b["median_ms"]), fmt_ms(c["median_ms"]),
                      f"{delta:+.1f}%", marker, digest, ok))
     added = sorted(cur_cases.keys() - base_cases.keys())
     removed = sorted(base_cases.keys() - cur_cases.keys())
-    return rows, added, removed, deltas
+    return rows, added, removed, deltas, changed
 
 
 LIST_CAP = 20  # names listed explicitly before "(+K more)"
@@ -133,6 +147,7 @@ def main(argv):
     markdown = False
     threshold = THRESHOLD_DEFAULT
     fail_above = None
+    fail_on_digest_change = False
     paths = []
     it = iter(argv[1:])
     for a in it:
@@ -150,6 +165,8 @@ def main(argv):
             except (StopIteration, ValueError):
                 print("--fail-above needs a number (percent)", file=sys.stderr)
                 return 2
+        elif a == "--fail-on-digest-change":
+            fail_on_digest_change = True
         elif a.startswith("--"):
             print(f"unknown flag: {a}", file=sys.stderr)
             return 2
@@ -166,10 +183,15 @@ def main(argv):
     if base_errors or cur_errors:
         return 1
 
-    rows, added, removed, deltas = compare(base, cur, threshold)
+    rows, added, removed, deltas, changed = compare(base, cur, threshold)
     render = render_markdown if markdown else render_text
     print(render(rows, added, removed, base, cur))
 
+    if fail_on_digest_change and changed:
+        for name in changed:
+            print(f"DIGEST CHANGED: {name} (its observable output differs from the baseline)",
+                  file=sys.stderr)
+        return 4
     if fail_above is not None:
         regressed = sorted((name, d) for name, d in deltas.items() if d > fail_above)
         if regressed:
