@@ -80,13 +80,13 @@ std::string Subcommand::help_text() const {
   return out.str();
 }
 
-ParseStatus parse_flags(const Subcommand& sub, int argc, char** argv, int first,
-                        std::ostream& err) {
+std::optional<int> parse_flags(const Subcommand& sub, int argc, char** argv, int first,
+                               std::ostream& err) {
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help") {
       std::cout << sub.help_text();
-      return ParseStatus::Help;
+      return 0;
     }
     // "--flag=value" splits into name + inline value; value flags accept
     // either spelling, optional-value flags require the inline one.
@@ -111,16 +111,16 @@ ParseStatus parse_flags(const Subcommand& sub, int argc, char** argv, int first,
         continue;
       }
       err << "unknown " << sub.name << " argument: " << arg << " (try --help)\n";
-      return ParseStatus::Error;
+      return 2;
     }
     if (inline_value) {
       if (!spec->parse) {
         err << "bad " << name << " value: " << *inline_value << " (flag takes no value)\n";
-        return ParseStatus::Error;
+        return 2;
       }
       if (const auto reason = spec->parse(*inline_value)) {
         err << "bad " << name << " value: " << *inline_value << " (" << *reason << ")\n";
-        return ParseStatus::Error;
+        return 2;
       }
       continue;
     }
@@ -131,15 +131,15 @@ ParseStatus parse_flags(const Subcommand& sub, int argc, char** argv, int first,
     }
     if (i + 1 >= argc) {
       err << "missing value for " << arg << "\n";
-      return ParseStatus::Error;
+      return 2;
     }
     const std::string value = argv[++i];
     if (const auto reason = spec->parse(value)) {
       err << "bad " << arg << " value: " << value << " (" << *reason << ")\n";
-      return ParseStatus::Error;
+      return 2;
     }
   }
-  return ParseStatus::Ok;
+  return std::nullopt;
 }
 
 std::optional<std::string> parse_bounded(const std::string& value, std::uint64_t lo,

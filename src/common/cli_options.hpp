@@ -81,17 +81,14 @@ struct Subcommand {
   [[nodiscard]] std::string flag_lines() const;
 };
 
-enum class ParseStatus : std::uint8_t {
-  Ok,    ///< all flags parsed and applied
-  Help,  ///< --help was given and printed; caller exits 0
-  Error, ///< contract violation reported to `err`; caller exits 2
-};
-
-/// Parse argv[first, argc) against `sub`'s table. Actions fire in argv
-/// order as flags are recognized; on Error the earlier actions have
-/// already fired (callers exit immediately, so partial state is moot).
-[[nodiscard]] ParseStatus parse_flags(const Subcommand& sub, int argc, char** argv, int first,
-                                      std::ostream& err);
+/// Parse argv[first, argc) against `sub`'s table. Returns nullopt when
+/// every flag parsed (the caller carries on), else the exit code: 0 after
+/// --help was printed, 2 after a contract violation was reported to
+/// `err`. Actions fire in argv order as flags are recognized; on an error
+/// the earlier actions have already fired (callers exit immediately, so
+/// partial state is moot).
+[[nodiscard]] std::optional<int> parse_flags(const Subcommand& sub, int argc, char** argv,
+                                             int first, std::ostream& err);
 
 /// Bounded-integer helper for flag lambdas: strict parse_u64 plus a
 /// [lo, hi] range check; assigns `out` and returns nullopt, or returns

@@ -8,7 +8,6 @@
 #include <optional>
 #include <regex>
 #include <sstream>
-#include <thread>
 
 #include "common/codec.hpp"
 #include "common/hash.hpp"
@@ -61,28 +60,6 @@ namespace {
   return s;
 }
 
-[[nodiscard]] std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-[[nodiscard]] unsigned resolved_threads(unsigned requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 }  // namespace
 
 std::vector<BenchResult> run_benchmarks(const std::vector<BenchCase>& cases,
@@ -127,7 +104,7 @@ std::vector<BenchResult> run_benchmarks(const std::vector<BenchCase>& cases,
 }
 
 JsonReporter::JsonReporter(unsigned threads, std::string git_sha)
-    : threads_(resolved_threads(threads)), git_sha_(std::move(git_sha)) {}
+    : threads_(resolve_report_threads(threads)), git_sha_(std::move(git_sha)) {}
 
 std::string JsonReporter::render(const std::vector<BenchResult>& results) const {
   bool all_ok = true;
@@ -228,11 +205,7 @@ cli::Subcommand bench_subcommand(BenchCliState& state) {
 int bench_main(int argc, char** argv) {
   BenchCliState state;
   const cli::Subcommand sub = bench_subcommand(state);
-  switch (cli::parse_flags(sub, argc, argv, 1, std::cerr)) {
-    case cli::ParseStatus::Help: return 0;
-    case cli::ParseStatus::Error: return 2;
-    case cli::ParseStatus::Ok: break;
-  }
+  if (const auto code = cli::parse_flags(sub, argc, argv, 1, std::cerr)) return *code;
   const BenchOptions& opts = state.opts;
   const std::string& json_path = state.json_path;
 

@@ -1,5 +1,6 @@
 #include "core/envelope.hpp"
 
+#include <cstdio>
 #include <sstream>
 #include <thread>
 
@@ -24,6 +25,22 @@ std::string envelope_json_with_sha(const std::string& subcommand, const std::str
 
 std::string envelope_json(const std::string& subcommand, unsigned threads, bool include_threads) {
   return envelope_json_with_sha(subcommand, build_git_sha(), threads, include_threads);
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+      continue;
+    }
+    out.push_back(c);
+  }
+  return out;
 }
 
 }  // namespace bsm::core

@@ -45,4 +45,9 @@ inline constexpr int kJsonSchemaVersion = 3;
                                                  const std::string& git_sha, unsigned threads,
                                                  bool include_threads = true);
 
+/// `s` as the body of a JSON string literal: `"` and `\` are
+/// backslash-escaped and control characters become `\u00XX`. The one
+/// escaper every report writer uses.
+[[nodiscard]] std::string json_escape(const std::string& s);
+
 }  // namespace bsm::core

@@ -19,15 +19,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-[[nodiscard]] std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 [[nodiscard]] std::uint64_t line_digest(const std::string& line) {
   return fnv1a64(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(line.data()),
                                                line.size()));

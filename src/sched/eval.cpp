@@ -1,6 +1,8 @@
 #include "sched/eval.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "common/hash.hpp"
 #include "core/runner.hpp"
@@ -66,6 +68,72 @@ Eval eval_schedule(const core::ScenarioSpec& base,
     rec->count(obs::Counter::Evals);
   }
   return eval;
+}
+
+std::optional<core::ProtocolSpec> search_protocol(const core::ScenarioSpec& scenario,
+                                                  const char* who) {
+  const auto fail = [who](const char* why) {
+    throw std::logic_error(std::string("bsm: requirement violated: ") + who + ": " + why);
+  };
+  if (!scenario.sched.is_synchronous()) {
+    fail("the search owns the schedule axis; pass a synchronous scenario");
+  }
+  if (scenario.forced_spec.has_value()) return std::nullopt;
+  auto resolved = core::resolve_protocol(scenario.config);
+  if (!resolved.has_value()) fail("scenario is unsolvable per the paper");
+  return resolved;
+}
+
+net::FaultEnvelope search_envelope(const core::ScenarioSpec& scenario,
+                                   bool corrupt_adjacent_only) {
+  net::FaultEnvelope envelope;
+  if (corrupt_adjacent_only) {
+    for (const auto& desc : scenario.adversaries) envelope.targets.insert(desc.id);
+  } else {
+    envelope.targets = core::PartySet::universe(scenario.config.n());
+  }
+  return envelope;
+}
+
+ScheduleTrace minimize(const core::ScenarioSpec& scenario,
+                       const std::optional<core::ProtocolSpec>& resolved, Round horizon,
+                       ScheduleTrace trace, std::vector<std::uint64_t>* views,
+                       std::size_t* shrink_runs) {
+  const auto still_violates = [&](const ScheduleTrace& t) {
+    ++*shrink_runs;
+    const Eval eval = eval_schedule(scenario, resolved, t, horizon, false);
+    if (eval.violated != 0) *views = eval.views;
+    return eval.violated != 0;
+  };
+
+  // Round-wise pass.
+  std::vector<Round> rounds;
+  for (const auto& op : trace.ops) rounds.push_back(op.round);
+  std::sort(rounds.begin(), rounds.end());
+  rounds.erase(std::unique(rounds.begin(), rounds.end()), rounds.end());
+  for (const Round r : rounds) {
+    ScheduleTrace without = trace;
+    std::erase_if(without.ops, [r](const ScheduleOp& op) { return op.round == r; });
+    if (without.ops.size() < trace.ops.size() && still_violates(without)) trace = without;
+  }
+
+  // Op-wise pass.
+  for (std::size_t i = 0; i < trace.ops.size();) {
+    ScheduleTrace without = trace;
+    without.ops.erase(without.ops.begin() + static_cast<std::ptrdiff_t>(i));
+    if (still_violates(without)) {
+      trace = without;
+    } else {
+      ++i;
+    }
+  }
+
+  // The shrink loop's last run may have been a non-violating probe;
+  // re-establish the reported views from the final trace.
+  const Eval final_eval = eval_schedule(scenario, resolved, trace, horizon, false);
+  ++*shrink_runs;
+  *views = final_eval.views;
+  return trace;
 }
 
 }  // namespace bsm::sched::detail

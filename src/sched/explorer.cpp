@@ -13,7 +13,8 @@ namespace bsm::sched {
 namespace {
 
 // The per-schedule simulation (trail fold, delivery-group menu, property
-// verdict) lives in sched/eval.hpp, shared with the greybox fuzzer.
+// verdict), the preconditions, the envelope and the shrinker live in
+// sched/eval.hpp, shared with the greybox fuzzer.
 using detail::Eval;
 using detail::eval_schedule;
 using detail::Slot;
@@ -25,15 +26,10 @@ struct Candidate {
 class Search {
  public:
   Search(const core::ScenarioSpec& scenario, const ExplorerOptions& opts)
-      : scenario_(scenario), opts_(opts) {
-    require(scenario.sched.is_synchronous(),
-            "sched::explore: the explorer owns the schedule axis; pass a synchronous scenario");
-    if (!scenario.forced_spec.has_value()) {
-      resolved_ = core::resolve_protocol(scenario.config);
-      require(resolved_.has_value(), "sched::explore: scenario is unsolvable per the paper");
-    }
-    for (const auto& desc : scenario.adversaries) corrupt_.push_back(desc.id);
-  }
+      : scenario_(scenario),
+        opts_(opts),
+        resolved_(detail::search_protocol(scenario, "sched::explore")),
+        envelope_(detail::search_envelope(scenario, opts.corrupt_adjacent_only)) {}
 
   [[nodiscard]] ExplorerReport run() {
     ExplorerReport report;
@@ -127,7 +123,8 @@ class Search {
     }
 
     if (violating.has_value()) {
-      report.counterexample = minimize(*violating, &violating_views, &report.shrink_runs);
+      report.counterexample = detail::minimize(scenario_, resolved_, opts_.horizon, *violating,
+                                               &violating_views, &report.shrink_runs);
       report.counterexample_views = std::move(violating_views);
     }
     return report;
@@ -137,12 +134,7 @@ class Search {
   /// The concrete ops the menu offers at one slot, in canonical order.
   [[nodiscard]] std::vector<ScheduleOp> ops_for(const Slot& slot) const {
     std::vector<ScheduleOp> ops;
-    if (opts_.corrupt_adjacent_only) {
-      const bool adjacent =
-          std::find(corrupt_.begin(), corrupt_.end(), slot.from) != corrupt_.end() ||
-          std::find(corrupt_.begin(), corrupt_.end(), slot.to) != corrupt_.end();
-      if (!adjacent) return ops;
-    }
+    if (!envelope_.covers(slot.from, slot.to)) return ops;
     if (opts_.allow_drop) {
       ops.push_back({ScheduleOp::Kind::Drop, slot.round, slot.from, slot.to, 1});
     }
@@ -157,51 +149,10 @@ class Search {
     return ops;
   }
 
-  /// Greedy shrink: whole rounds first, then single ops. Every removal is
-  /// re-verified, so the result still violates and is 1-minimal op-wise.
-  [[nodiscard]] ScheduleTrace minimize(ScheduleTrace trace, std::vector<std::uint64_t>* views,
-                                       std::size_t* shrink_runs) {
-    const auto still_violates = [&](const ScheduleTrace& t) {
-      ++*shrink_runs;
-      const Eval eval = eval_schedule(scenario_, resolved_, t, opts_.horizon, false);
-      if (eval.violated != 0) *views = eval.views;
-      return eval.violated != 0;
-    };
-
-    // Round-wise pass.
-    std::vector<Round> rounds;
-    for (const auto& op : trace.ops) rounds.push_back(op.round);
-    std::sort(rounds.begin(), rounds.end());
-    rounds.erase(std::unique(rounds.begin(), rounds.end()), rounds.end());
-    for (const Round r : rounds) {
-      ScheduleTrace without = trace;
-      std::erase_if(without.ops, [r](const ScheduleOp& op) { return op.round == r; });
-      if (without.ops.size() < trace.ops.size() && still_violates(without)) trace = without;
-    }
-
-    // Op-wise pass.
-    for (std::size_t i = 0; i < trace.ops.size();) {
-      ScheduleTrace without = trace;
-      without.ops.erase(without.ops.begin() + static_cast<std::ptrdiff_t>(i));
-      if (still_violates(without)) {
-        trace = without;
-      } else {
-        ++i;
-      }
-    }
-
-    // The shrink loop's last run may have been a non-violating probe;
-    // re-establish the reported views from the final trace.
-    const Eval final_eval = eval_schedule(scenario_, resolved_, trace, opts_.horizon, false);
-    ++*shrink_runs;
-    *views = final_eval.views;
-    return trace;
-  }
-
   core::ScenarioSpec scenario_;
   ExplorerOptions opts_;
   std::optional<core::ProtocolSpec> resolved_;
-  std::vector<PartyId> corrupt_;
+  net::FaultEnvelope envelope_;
   std::unordered_set<std::uint64_t> seen_;
 };
 

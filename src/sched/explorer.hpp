@@ -26,10 +26,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "core/scenario.hpp"
+#include "sched/eval.hpp"
 #include "sched/trace.hpp"
 
 namespace bsm::sched {
@@ -65,23 +64,13 @@ struct ExplorerOptions {
   unsigned threads = 0;  ///< per-wave run_cells fan-out; 0 = hardware
 };
 
-struct ExplorerReport {
+struct ExplorerReport : SearchFindings {
   std::size_t explored = 0;  ///< schedules run (excluding shrink re-runs)
   /// Schedules whose trail duplicated an earlier schedule's (equivalent
   /// states); their extension subtrees were skipped.
   std::size_t pruned = 0;
-  std::size_t violations = 0;  ///< explored schedules violating a property
   std::size_t depth_reached = 0;
   bool truncated = false;  ///< hit max_schedules before exhausting max_depth
-
-  /// First violating schedule in canonical order, greedily minimized; and
-  /// the violating run's per-party view hashes (the replay target:
-  /// re-running the serialized trace must reproduce them bit for bit).
-  std::optional<ScheduleTrace> counterexample;
-  std::vector<std::uint64_t> counterexample_views;
-  std::size_t shrink_runs = 0;  ///< extra runs the minimizer spent
-
-  [[nodiscard]] bool all_satisfied() const noexcept { return violations == 0; }
 };
 
 /// Explore `scenario` (which must be solvable — or carry forced_spec — and

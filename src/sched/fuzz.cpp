@@ -21,39 +21,22 @@ using detail::Eval;
 using detail::eval_schedule;
 using detail::Slot;
 
+/// Rank ops demote a delivery group to inbox rank 1..kMaxRank.
+constexpr std::uint32_t kMaxRank = 4;
+
 /// The omission-budget account an op's drop is charged to (mirrors
 /// TargetedOmissionPolicy: `from` wins when both endpoints are targets).
 [[nodiscard]] PartyId drop_target(const ScheduleOp& op, const net::FaultEnvelope& envelope) {
   return envelope.targets.contains(op.from) ? op.from : op.to;
 }
 
-[[nodiscard]] std::string digest_name(const ScheduleTrace& trace) {
-  static const char* hex = "0123456789abcdef";
-  std::uint64_t d = trace.digest();
-  std::string name(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    name[static_cast<std::size_t>(i)] = hex[d & 0xF];
-    d >>= 4;
-  }
-  return name + ".trace";
-}
-
 }  // namespace
 
 Fuzzer::Fuzzer(const core::ScenarioSpec& scenario, FuzzerOptions options)
-    : scenario_(scenario), opts_(std::move(options)) {
-  require(scenario_.sched.is_synchronous(),
-          "sched::Fuzzer: the fuzzer owns the schedule axis; pass a synchronous scenario");
-  if (!scenario_.forced_spec.has_value()) {
-    resolved_ = core::resolve_protocol(scenario_.config);
-    require(resolved_.has_value(), "sched::Fuzzer: scenario is unsolvable per the paper");
-  }
-
-  if (opts_.corrupt_adjacent_only) {
-    for (const auto& desc : scenario_.adversaries) envelope_.targets.insert(desc.id);
-  } else {
-    for (PartyId id = 0; id < scenario_.config.n(); ++id) envelope_.targets.insert(id);
-  }
+    : scenario_(scenario),
+      opts_(std::move(options)),
+      resolved_(detail::search_protocol(scenario_, "sched::Fuzzer")),
+      envelope_(detail::search_envelope(scenario_, opts_.corrupt_adjacent_only)) {
   envelope_.max_delay = opts_.allow_delay ? std::max<Round>(opts_.max_delay, 1) : 0;
   envelope_.omission_budget = opts_.allow_drop ? opts_.omission_budget : 0;
 
@@ -107,7 +90,7 @@ void Fuzzer::repair(ScheduleTrace& trace) const {
       op.arg = std::clamp<std::uint32_t>(op.arg, 1, std::max<Round>(envelope_.max_delay, 1));
     }
     if (op.kind == ScheduleOp::Kind::Rank) {
-      op.arg = std::clamp<std::uint32_t>(op.arg, 1, std::max<std::uint32_t>(opts_.max_rank, 1));
+      op.arg = std::clamp<std::uint32_t>(op.arg, 1, kMaxRank);
     }
   }
 
@@ -158,8 +141,7 @@ ScheduleTrace Fuzzer::mutate(const ScheduleTrace& base, const ScheduleTrace* spl
         return 1 + static_cast<std::uint32_t>(rng.below(std::max<Round>(opts_.max_delay, 1)));
       }
       if (kind == ScheduleOp::Kind::Rank) {
-        const std::uint32_t bound = std::max<std::uint32_t>(opts_.max_rank, 1);
-        return 1 + static_cast<std::uint32_t>(rng.below(bound));
+        return 1 + static_cast<std::uint32_t>(rng.below(kMaxRank));
       }
       return 1;
     };
@@ -269,16 +251,11 @@ FuzzReport Fuzzer::run() {
     report.counterexample_views = root_.views;
   }
 
-  // Seed adoption: explicit seeds first, then the persisted corpus, in
-  // deterministic order; evaluated in batches like any other candidates.
+  // Seed adoption: the persisted corpus, in deterministic order;
+  // evaluated in batches like any other candidates.
   if (report.violations == 0) {
-    std::vector<ScheduleTrace> seeds;
-    for (const ScheduleTrace& s : opts_.seeds) seeds.push_back(s);
-    if (!opts_.corpus_dir.empty()) {
-      for (ScheduleTrace& s : load_corpus(opts_.corpus_dir)) seeds.push_back(std::move(s));
-    }
     std::vector<ScheduleTrace> wave;
-    for (ScheduleTrace& s : seeds) {
+    for (ScheduleTrace& s : load_corpus(opts_.corpus_dir)) {
       if (report.execs + wave.size() >= opts_.max_execs) break;
       std::sort(s.ops.begin(), s.ops.end());
       if (s.empty() || !admissible(s)) continue;
@@ -336,7 +313,8 @@ FuzzReport Fuzzer::run() {
 
   if (report.counterexample.has_value() && !report.counterexample->empty()) {
     report.counterexample =
-        minimize(*report.counterexample, &report.counterexample_views, &report.shrink_runs);
+        detail::minimize(scenario_, resolved_, opts_.horizon, *report.counterexample,
+                         &report.counterexample_views, &report.shrink_runs);
     // The shrunken counterexample is the corpus's most valuable entry: a
     // replayable regression asset that persists with the directory.
     corpus_.push_back({*report.counterexample, 1});
@@ -351,45 +329,6 @@ FuzzReport Fuzzer::run() {
     report.corpus_saved = save_corpus(opts_.corpus_dir, traces);
   }
   return report;
-}
-
-ScheduleTrace Fuzzer::minimize(ScheduleTrace trace, std::vector<std::uint64_t>* views,
-                               std::size_t* shrink_runs) const {
-  const auto still_violates = [&](const ScheduleTrace& t) {
-    ++*shrink_runs;
-    const Eval eval = eval_schedule(scenario_, resolved_, t, opts_.horizon, false);
-    if (eval.violated != 0) *views = eval.views;
-    return eval.violated != 0;
-  };
-
-  // Round-wise pass.
-  std::vector<Round> rounds;
-  for (const auto& op : trace.ops) rounds.push_back(op.round);
-  std::sort(rounds.begin(), rounds.end());
-  rounds.erase(std::unique(rounds.begin(), rounds.end()), rounds.end());
-  for (const Round r : rounds) {
-    ScheduleTrace without = trace;
-    std::erase_if(without.ops, [r](const ScheduleOp& op) { return op.round == r; });
-    if (without.ops.size() < trace.ops.size() && still_violates(without)) trace = without;
-  }
-
-  // Op-wise pass.
-  for (std::size_t i = 0; i < trace.ops.size();) {
-    ScheduleTrace without = trace;
-    without.ops.erase(without.ops.begin() + static_cast<std::ptrdiff_t>(i));
-    if (still_violates(without)) {
-      trace = without;
-    } else {
-      ++i;
-    }
-  }
-
-  // The shrink loop's last run may have been a non-violating probe;
-  // re-establish the reported views from the final trace.
-  const Eval final_eval = eval_schedule(scenario_, resolved_, trace, opts_.horizon, false);
-  ++*shrink_runs;
-  *views = final_eval.views;
-  return trace;
 }
 
 std::vector<ScheduleTrace> Fuzzer::load_corpus(const std::string& dir) {
@@ -424,7 +363,7 @@ std::size_t Fuzzer::save_corpus(const std::string& dir, const std::vector<Schedu
   std::size_t written = 0;
   for (const ScheduleTrace& trace : traces) {
     if (trace.empty()) continue;
-    const fs::path path = fs::path(dir) / digest_name(trace);
+    const fs::path path = fs::path(dir) / (to_hex(trace.digest()) + ".trace");
     if (fs::exists(path, ec)) continue;  // content-addressed: already persisted
     std::ofstream out(path);
     if (!out) continue;

@@ -77,8 +77,7 @@ struct FuzzerOptions {
   bool allow_drop = true;
   bool allow_delay = true;
   bool allow_reorder = true;
-  Round max_delay = 2;         ///< delay ops slip 1..max_delay rounds
-  std::uint32_t max_rank = 4;  ///< rank ops demote to rank 1..max_rank
+  Round max_delay = 2;  ///< delay ops slip 1..max_delay rounds
 
   /// Envelope targets: the scenario's corrupted parties (the fault
   /// envelope under which the paper's guarantees must survive every
@@ -92,33 +91,20 @@ struct FuzzerOptions {
 
   unsigned threads = 0;  ///< per-batch run_cells fan-out; 0 = hardware
 
-  /// Persisted corpus directory: seeds are loaded from `*.trace` files
-  /// before fuzzing and the final corpus (including any shrunken
-  /// counterexample) is written back, one digest-keyed file per trace.
-  /// Empty = in-memory only.
+  /// Persisted corpus directory: seed traces (explorer output, prior
+  /// counterexamples) are loaded from `*.trace` files before fuzzing and
+  /// the final corpus (including any shrunken counterexample) is written
+  /// back, one digest-keyed file per trace. Empty = in-memory only.
   std::string corpus_dir;
-
-  /// Extra seed traces (explorer output, prior counterexamples). Adopted
-  /// through the same admissibility filter as on-disk seeds.
-  std::vector<ScheduleTrace> seeds;
 };
 
-struct FuzzReport {
+struct FuzzReport : SearchFindings {
   std::size_t execs = 0;          ///< schedules run (excluding shrink re-runs)
   std::size_t corpus_size = 0;    ///< final corpus entries (root included)
-  std::size_t corpus_loaded = 0;  ///< seeds adopted from disk/options and run
+  std::size_t corpus_loaded = 0;  ///< seeds adopted from corpus_dir and run
   std::size_t corpus_saved = 0;   ///< new files written to corpus_dir
   std::size_t coverage = 0;       ///< distinct trail prefixes reached
   std::size_t interesting = 0;    ///< runs admitted for new coverage (excl. root)
-  std::size_t violations = 0;     ///< runs that broke a bSM property
-
-  /// First violating trace in fold order, greedily shrunk to 1-minimal;
-  /// and the violating run's per-party view hashes (the replay target).
-  std::optional<ScheduleTrace> counterexample;
-  std::vector<std::uint64_t> counterexample_views;
-  std::size_t shrink_runs = 0;
-
-  [[nodiscard]] bool all_satisfied() const noexcept { return violations == 0; }
 };
 
 /// The greybox loop. Construction runs the unperturbed schedule once to
@@ -187,10 +173,6 @@ class Fuzzer {
   /// the number of coverage points the run added.
   std::size_t fold(const ScheduleTrace& trace, const detail::Eval& eval,
                    std::optional<std::size_t> parent, FuzzReport& report);
-
-  /// Greedy round-wise + op-wise shrink (the explorer's contract).
-  [[nodiscard]] ScheduleTrace minimize(ScheduleTrace trace, std::vector<std::uint64_t>* views,
-                                       std::size_t* shrink_runs) const;
 
   core::ScenarioSpec scenario_;
   FuzzerOptions opts_;

@@ -96,7 +96,12 @@ TEST(CliContract, BadValuesExitTwo) {
         "sweep --checkpoint-every 0", "run --trace not-a-trace", "run --gst zilch",
         "run --max-rounds 2000000", "sweep --sched gst --gst 0,65", "sweep --max-rounds junk",
         "explore --max-rounds junk", "fuzz --max-rounds junk", "sweep --progress=0",
-        "sweep --progress=soon", "fuzz --progress=", "sweep --metrics=yes"}) {
+        "sweep --progress=soon", "fuzz --progress=", "sweep --metrics=yes",
+        // Out-of-range scenario axes: no side may be empty, and no
+        // corruption budget may exceed its side (for sweep: the smallest
+        // side in the grid).
+        "run --k 0", "explore --k 0", "fuzz --k 2 --tl 3", "run --k 2 --tl 0 --tr 3",
+        "sweep --k 2,0", "sweep --k 2 --tl 3", "fuzz --batch 0"}) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.exit_code, 2) << args;
   }
@@ -141,6 +146,32 @@ TEST(CliContract, NeverDeliverScheduleIsStructuredAtEveryEntryPoint) {
 [[nodiscard]] long number_after(const std::string& output, const std::string& key) {
   const auto at = output.find(key);
   return at == std::string::npos ? -1 : std::stol(output.substr(at + key.size()));
+}
+
+TEST(CliContract, RunTranscriptPerAdversaryKind) {
+  // `run` materializes its cell through the scenario layer; these pin the
+  // transcript cost of every --adversary kind, schedule and topology.
+  const std::pair<const char*, const char*> cases[] = {
+      {"run --adversary silent", "6 rounds, 392 messages, 28112 bytes"},
+      {"run --adversary liar --adversary split", "6 rounds, 560 messages, 41712 bytes"},
+      {"run --adversary crash --adversary liar --gst 5 --gst-seed 3",
+       "6 rounds, 512 messages, 38400 bytes"},
+      {"run --topology bipartite --k 3 --tl 1 --tr 0 --adversary split --no-auth",
+       "17 rounds, 2129 messages, 100786 bytes"},
+      {"run --topology one-sided --k 4 --tl 0 --tr 2 --adversary silent --adversary silent "
+       "--trace 'drop@1:4>0'",
+       "9 rounds, 648 messages, 58896 bytes"},
+      // The scenario layer's noise burst (3 messages per round).
+      {"run --adversary noise --adversary noise", "6 rounds, 324 messages, 21665 bytes"},
+  };
+  for (const auto& [args, cost] : cases) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 0) << args << "\n" << result.output;
+    EXPECT_NE(result.output.find(std::string("Cost:      ") + cost + "\n"), std::string::npos)
+        << args << "\n" << result.output;
+  }
+  const auto gst = run_cli("run --adversary crash --adversary liar --gst 5 --gst-seed 3");
+  EXPECT_EQ(number_after(gst.output, "rounds_to_termination="), 7) << gst.output;
 }
 
 TEST(CliContract, ReplayReportsTheSameTerminationWatermarkAsRun) {
@@ -296,6 +327,33 @@ TEST(CliContract, UnusablePathsExitTwoWithAOneLineError) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
     EXPECT_EQ(result.output, error) << args;
+  }
+  fs::remove_all(dir);
+}
+
+TEST(CliContract, ControlCharactersInPathsAreEscapedInReports) {
+  // A tab in --corpus and --out must reach the report as \u0009: JSON
+  // forbids raw control characters inside strings.
+  const fs::path dir = fs::temp_directory_path() / "bsm_cli_contract_escape";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string corpus = (dir / "corp\tus").string();
+  const std::string out = (dir / "o\tut.jsonl").string();
+  const std::string escaped_dir = (dir / "").string();
+  const std::pair<std::string, std::string> cases[] = {
+      {"fuzz --k 2 --tl 1 --tr 0 --max-execs 8 --corpus '" + corpus + "'",
+       "\"corpus_dir\": \"" + escaped_dir + "corp\\u0009us\""},
+      {"sweep --k 2 --tl 0 --tr 0 --seeds 1 --battery silent --out '" + out + "'",
+       "\"out\": \"" + escaped_dir + "o\\u0009ut.jsonl\""},
+  };
+  for (const auto& [args, member] : cases) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 0) << args << "\n" << result.output;
+    EXPECT_NE(result.output.find(member), std::string::npos) << args << "\n" << result.output;
+    for (const char c : result.output) {
+      ASSERT_FALSE(static_cast<unsigned char>(c) < 0x20 && c != '\n')
+          << args << ": raw control character " << static_cast<int>(c) << " in the report";
+    }
   }
   fs::remove_all(dir);
 }

@@ -369,18 +369,24 @@ TEST(FuzzDeepViolation, CounterexampleReplaysBitForBit) {
 TEST(FuzzDeepViolation, ExplorerSeedsAccelerateTheHunt) {
   // Seeding the fuzzer with the explorer's frontier is the intended
   // pipeline: interesting-but-clean traces from a shallow systematic
-  // pass make useful greybox parents.
-  auto opts = deep_options();
+  // pass make useful greybox parents. Seeds enter through the corpus
+  // directory, the path `bsm_cli fuzz --corpus` uses.
+  const std::string dir = fresh_dir("explorer_seeds");
   ScheduleTrace seed;
   seed.ops.push_back({ScheduleOp::Kind::Drop, 1, 1, 0, 1});
   seed.ops.push_back({ScheduleOp::Kind::Drop, 1, 1, 2, 1});
-  opts.seeds.push_back(seed);
+  ASSERT_EQ(Fuzzer::save_corpus(dir, {seed}), 1U);
 
+  auto opts = deep_options();
+  opts.corpus_dir = dir;
   Fuzzer fuzzer(deep_scenario(), opts);
   const FuzzReport report = fuzzer.run();
+  EXPECT_EQ(report.corpus_loaded, 1U);
   EXPECT_GE(report.violations, 1U);
   ASSERT_TRUE(report.counterexample.has_value());
   EXPECT_GE(report.counterexample->ops.size(), 3U);
+
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -16,21 +16,24 @@
 //   bsm_cli bench [flags]    the full benchmark suite via the shared harness
 //
 // Every subcommand parses through the declarative flag tables in
-// common/cli_options.hpp (one table per subcommand, below) and every
-// machine-readable report leads with the shared JSON envelope
+// common/cli_options.hpp (run, explore and fuzz share one table of
+// setting rows; explore and fuzz also share their search rows), `run`
+// builds its cell as a core::ScenarioSpec like every other subcommand,
+// and every machine-readable report leads with the shared JSON envelope
 // (core/envelope.hpp). Exits 0 when all four bSM properties held; 2 when
 // the setting is unsolvable per the paper (or on a usage error); 1 on a
 // property violation (which inside the solvable region would be a library
 // bug — please report it).
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "adversary/shims.hpp"
-#include "adversary/strategies.hpp"
 #include "cases/cases.hpp"
 #include "common/cli_options.hpp"
 #include "common/codec.hpp"
@@ -42,7 +45,6 @@
 #include "core/runner.hpp"
 #include "core/shard.hpp"
 #include "core/sweep.hpp"
-#include "matching/generators.hpp"
 #include "obs/progress.hpp"
 #include "obs/recorder.hpp"
 #include "sched/explorer.hpp"
@@ -62,15 +64,6 @@ using namespace bsm;
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-[[nodiscard]] std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
   }
   return out;
 }
@@ -122,10 +115,12 @@ template <typename Assign>
       });
 }
 
-/// The scenario axes shared by explore and fuzz (one fixed cell, not a
-/// grid): topology/auth/k/tl/tr/seed/battery.
-void add_scenario_flags(cli::Subcommand& sub, core::BsmConfig& cfg, std::uint64_t& seed,
-                        core::Battery& battery) {
+// ---------------------------------------------------------- setting flags
+
+/// The setting rows `run`, `explore` and `fuzz` share: one fixed cell
+/// (topology, PKI, k, tL, tR) and its workload seed. Help shows the
+/// defaults bound in `cfg` and `seed`.
+void add_setting_flags(cli::Subcommand& sub, core::BsmConfig& cfg, std::uint64_t& seed) {
   sub.flags.push_back(cli::value_flag(
       "--topology", "KIND", "fully|one-sided|bipartite topology (default: fully)",
       [&cfg](const std::string& v) -> std::optional<std::string> {
@@ -138,50 +133,28 @@ void add_scenario_flags(cli::Subcommand& sub, core::BsmConfig& cfg, std::uint64_
       cli::flag("--auth", "PKI available (default)", [&cfg] { cfg.authenticated = true; }));
   sub.flags.push_back(
       cli::flag("--no-auth", "no PKI", [&cfg] { cfg.authenticated = false; }));
-  sub.flags.push_back(bounded_flag("--k", "N", "parties per side (default: 2)", 0, 1'000'000,
-                                   [&cfg](std::uint64_t n) { cfg.k = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag("--tl", "N", "corruption budget within L (default: 1)", 0,
-                                   1'000'000,
-                                   [&cfg](std::uint64_t n) { cfg.tl = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag("--tr", "N", "corruption budget within R (default: 0)", 0,
-                                   1'000'000,
-                                   [&cfg](std::uint64_t n) { cfg.tr = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag("--seed", "S", "workload seed (default: 1)", 0, 1'000'000,
-                                   [&seed](std::uint64_t n) { seed = n; }));
-  sub.flags.push_back(cli::value_flag(
-      "--battery", "KIND", "silent,noise,liars,adaptive,omission (default: silent)",
-      [&battery](const std::string& v) -> std::optional<std::string> {
-        const auto parsed = parse_battery(v);
-        if (!parsed) return "expected silent|noise|liars|adaptive|omission";
-        battery = *parsed;
-        return std::nullopt;
-      }));
+  const auto count_row = [&sub](std::string name, std::string help, std::uint64_t lo,
+                                std::uint32_t& field) {
+    sub.flags.push_back(bounded_flag(
+        std::move(name), "N", std::move(help) + " (default: " + std::to_string(field) + ")", lo,
+        1'000'000, [&field](std::uint64_t n) { field = static_cast<std::uint32_t>(n); }));
+  };
+  count_row("--k", "parties per side", 1, cfg.k);
+  count_row("--tl", "corruption budget within L", 0, cfg.tl);
+  count_row("--tr", "corruption budget within R", 0, cfg.tr);
+  sub.flags.push_back(bounded_flag("--seed", "S",
+                                   "workload seed (default: " + std::to_string(seed) + ")", 0,
+                                   1'000'000, [&seed](std::uint64_t n) { seed = n; }));
 }
 
-/// The --ops row shared by explore and fuzz.
-[[nodiscard]] cli::FlagSpec ops_flag(bool& drop, bool& delay, bool& reorder) {
-  return cli::value_flag(
-      "--ops", "LIST", "comma list of drop,delay,reorder (default: drop,delay)",
-      [&drop, &delay, &reorder](const std::string& v) -> std::optional<std::string> {
-        bool d = false;
-        bool dl = false;
-        bool r = false;
-        for (const auto& op : split_csv(v)) {
-          if (op == "drop") {
-            d = true;
-          } else if (op == "delay") {
-            dl = true;
-          } else if (op == "reorder") {
-            r = true;
-          } else {
-            return "unknown op: " + op + ", expected drop|delay|reorder";
-          }
-        }
-        drop = d;
-        delay = dl;
-        reorder = r;
-        return std::nullopt;
-      });
+/// A corruption budget larger than its side names no setting (Topology and
+/// solvable() reject it): a usage error, exit 2. `k` is the smallest side
+/// size and `tl`/`tr` the largest budgets the command will run.
+[[nodiscard]] bool budgets_fit(const char* sub, std::uint32_t k, std::uint32_t tl,
+                               std::uint32_t tr) {
+  if (tl <= k && tr <= k) return true;
+  std::cerr << sub << ": --tl and --tr must be at most --k (try --help)\n";
+  return false;
 }
 
 // ---------------------------------------------------- observability flags
@@ -269,13 +242,12 @@ class ObsSession {
     }
   }
 
-  [[nodiscard]] bool metrics_enabled() const { return recorder_ != nullptr && emit_metrics_; }
-
-  /// The single-line metrics object; finishes the session first so the
-  /// numbers cover the whole run.
-  [[nodiscard]] std::string metrics_json() {
+  /// The report's `"metrics": {...},` member, empty without --metrics.
+  /// Finishes the session first so the numbers cover the whole run.
+  [[nodiscard]] std::string metrics_member() {
     finish();
-    return recorder_->metrics_json();
+    if (recorder_ == nullptr || !emit_metrics_) return "";
+    return "\"metrics\": " + recorder_->metrics_json() + ",\n  ";
   }
 
   [[nodiscard]] const std::string& error() const { return error_; }
@@ -353,12 +325,14 @@ struct SweepCli {
                         return std::nullopt;
                       }),
   };
-  const auto u32_list = [](const std::string& v,
+  const auto u32_list = [](const std::string& v, std::uint64_t lo,
                            std::vector<std::uint32_t>& out) -> std::optional<std::string> {
     std::vector<std::uint32_t> values;
     for (const auto& item : split_csv(v)) {
       const auto parsed = parse_u64(item);
-      if (!parsed || *parsed > 64) return "expected comma list of 0..64";
+      if (!parsed || *parsed < lo || *parsed > 64) {
+        return "expected comma list of " + std::to_string(lo) + "..64";
+      }
       values.push_back(static_cast<std::uint32_t>(*parsed));
     }
     out = std::move(values);
@@ -366,13 +340,13 @@ struct SweepCli {
   };
   sub.flags.push_back(cli::value_flag(
       "--k", "LIST", "comma list of market sizes (default: 3)",
-      [&o, u32_list](const std::string& v) { return u32_list(v, o.grid.ks); }));
+      [&o, u32_list](const std::string& v) { return u32_list(v, 1, o.grid.ks); }));
   sub.flags.push_back(cli::value_flag(
       "--tl", "LIST", "comma list of L budgets (default: 0..k)",
-      [&o, u32_list](const std::string& v) { return u32_list(v, o.grid.tls); }));
+      [&o, u32_list](const std::string& v) { return u32_list(v, 0, o.grid.tls); }));
   sub.flags.push_back(cli::value_flag(
       "--tr", "LIST", "comma list of R budgets (default: 0..k)",
-      [&o, u32_list](const std::string& v) { return u32_list(v, o.grid.trs); }));
+      [&o, u32_list](const std::string& v) { return u32_list(v, 0, o.grid.trs); }));
   sub.flags.push_back(bounded_flag("--seeds", "N", "workload seeds 1..N (default: 2)", 1, 10000,
                                    [&o](std::uint64_t n) { o.num_seeds = n; }));
   sub.flags.push_back(cli::value_flag(
@@ -414,7 +388,7 @@ struct SweepCli {
       "                        each setting out over (default: 0,2)",
       [&o, u32_list](const std::string& v) -> std::optional<std::string> {
         std::vector<std::uint32_t> values;
-        if (auto reason = u32_list(v, values)) return reason;
+        if (auto reason = u32_list(v, 0, values)) return reason;
         if (values.empty()) return "expected at least one GST value";
         o.gsts.assign(values.begin(), values.end());
         return std::nullopt;
@@ -476,18 +450,21 @@ int run_sweep_command(int argc, char** argv) {
   o.grid.batteries = {core::Battery::Silent, core::Battery::Noise, core::Battery::Liars,
                       core::Battery::AdaptiveCrash};
 
-  const cli::Subcommand sub = sweep_subcommand(o);
-  switch (cli::parse_flags(sub, argc, argv, 2, std::cerr)) {
-    case cli::ParseStatus::Help:
-      return 0;
-    case cli::ParseStatus::Error:
-      return 2;
-    case cli::ParseStatus::Ok:
-      break;
+  if (const auto code = cli::parse_flags(sweep_subcommand(o), argc, argv, 2, std::cerr)) {
+    return *code;
   }
   if (o.out_path.empty() && (o.shard_given || o.resume)) {
     std::cerr << "sweep: --shard/--resume require --out FILE (try --help)\n";
     return 2;
+  }
+  if (!o.grid.ks.empty()) {
+    const auto largest = [](const std::vector<std::uint32_t>& v) {
+      return v.empty() ? 0U : *std::max_element(v.begin(), v.end());
+    };
+    if (!budgets_fit("sweep", *std::min_element(o.grid.ks.begin(), o.grid.ks.end()),
+                     largest(o.grid.tls), largest(o.grid.trs))) {
+      return 2;
+    }
   }
 
   o.grid.seeds.clear();
@@ -518,18 +495,15 @@ int run_sweep_command(int argc, char** argv) {
     }
     const auto& st = res.stats;
     const auto [begin, end] = o.shard.range(cells.size());
-    std::string metrics_part;
-    if (obs_session.metrics_enabled()) {
-      metrics_part = "\"metrics\": " + obs_session.metrics_json() + ",\n  ";
-    }
-    obs_session.finish();
+    const std::string metrics_part = obs_session.metrics_member();
     std::ostringstream hit_rate;
     hit_rate << st.sweep.oracle.hit_rate();
     std::cout << "{\n  " << core::envelope_json("sweep", o.opts.threads)
               << ",\n  \"grid_digest\": \"" << to_hex(core::grid_digest(cells))
               << "\", \"total_cells\": " << cells.size() << ", \"shard\": \"" << o.shard.str()
               << "\", \"begin\": " << begin << ", \"end\": " << end << ",\n  \"out\": \""
-              << json_escape(o.out_path) << "\", \"resume\": " << (o.resume ? "true" : "false")
+              << core::json_escape(o.out_path)
+              << "\", \"resume\": " << (o.resume ? "true" : "false")
               << ", \"resumed_complete\": " << (res.resumed_complete ? "true" : "false")
               << ",\n  \"cells\": " << st.cells << ", \"ran\": " << st.ran
               << ", \"emitted\": " << st.emitted << ", \"resumed\": " << st.resumed
@@ -546,11 +520,7 @@ int run_sweep_command(int argc, char** argv) {
   // Inline document (the historical sweep output; CI smoke parses it).
   core::SweepStats stats;
   const auto results = core::run_sweep(cells, o.opts, &stats);
-  std::string metrics_part;
-  if (obs_session.metrics_enabled()) {
-    metrics_part = "\"metrics\": " + obs_session.metrics_json() + ",\n  ";
-  }
-  obs_session.finish();
+  const std::string metrics_part = obs_session.metrics_member();
 
   bool all_ok = true;
   std::size_t ran = 0;
@@ -578,10 +548,9 @@ int run_sweep_command(int argc, char** argv) {
 
 // ------------------------------------------------------------- merge mode
 
-int run_merge_command(int argc, char** argv) {
-  std::string out_path = "-";
-  std::vector<std::string> inputs;
-
+/// The merge flag table, shared by the merge command and the top help.
+[[nodiscard]] cli::Subcommand merge_subcommand(std::string& out_path,
+                                               std::vector<std::string>& inputs) {
   cli::Subcommand sub;
   sub.name = "merge";
   sub.summary = "merge + validate sweep shard JSONL files into the 1/1 document";
@@ -602,13 +571,15 @@ int run_merge_command(int argc, char** argv) {
                         return std::nullopt;
                       }),
   };
-  switch (cli::parse_flags(sub, argc, argv, 2, std::cerr)) {
-    case cli::ParseStatus::Help:
-      return 0;
-    case cli::ParseStatus::Error:
-      return 2;
-    case cli::ParseStatus::Ok:
-      break;
+  return sub;
+}
+
+int run_merge_command(int argc, char** argv) {
+  std::string out_path = "-";
+  std::vector<std::string> inputs;
+  if (const auto code =
+          cli::parse_flags(merge_subcommand(out_path, inputs), argc, argv, 2, std::cerr)) {
+    return *code;
   }
   if (inputs.empty()) {
     std::cerr << "merge: no shard files given (try --help)\n";
@@ -651,7 +622,106 @@ int run_merge_command(int argc, char** argv) {
   return 0;
 }
 
-// ----------------------------------------------------------- explore mode
+// --------------------------------------------- schedule search (explore, fuzz)
+
+/// What explore and fuzz share: one scenario cell and its battery, the
+/// replay trace and its engine-round guard, and the obs flags.
+struct SearchCli {
+  core::BsmConfig cfg{net::TopologyKind::FullyConnected, true, 2, 1, 0};
+  std::uint64_t seed = 1;
+  core::Battery battery = core::Battery::Silent;
+  Round max_rounds = 0;
+  std::optional<std::string> replay;
+  ObsCli obs;
+};
+
+/// The rows explore and fuzz share, around the search's own: the setting
+/// rows and --battery, then `before`, then the perturbation rows, then
+/// `after`, then the replay rows (the split keeps explore's help in its
+/// historical order). Help shows the defaults bound in `opts`
+/// (sched::ExplorerOptions or sched::FuzzerOptions).
+template <typename Options>
+void add_search_flags(cli::Subcommand& sub, SearchCli& o, Options& opts,
+                      std::vector<cli::FlagSpec> before, std::vector<cli::FlagSpec> after) {
+  add_setting_flags(sub, o.cfg, o.seed);
+  sub.flags.push_back(cli::value_flag(
+      "--battery", "KIND", "silent,noise,liars,adaptive,omission (default: silent)",
+      [&o](const std::string& v) -> std::optional<std::string> {
+        const auto parsed = parse_battery(v);
+        if (!parsed) return "expected silent|noise|liars|adaptive|omission";
+        o.battery = *parsed;
+        return std::nullopt;
+      }));
+  for (auto& row : before) sub.flags.push_back(std::move(row));
+  sub.flags.push_back(bounded_flag(
+      "--max-delay", "N",
+      "delay ops slip 1..N rounds (default: " + std::to_string(opts.max_delay) + ")", 0,
+      1'000'000, [&opts](std::uint64_t n) { opts.max_delay = static_cast<Round>(n); }));
+  sub.flags.push_back(bounded_flag(
+      "--horizon", "N", "rounds to simulate, 0 = protocol deadline (default: 0)", 0, 1'000'000,
+      [&opts](std::uint64_t n) { opts.horizon = static_cast<Round>(n); }));
+  sub.flags.push_back(cli::value_flag(
+      "--ops", "LIST", "comma list of drop,delay,reorder (default: drop,delay)",
+      [&opts](const std::string& v) -> std::optional<std::string> {
+        bool drop = false;
+        bool delay = false;
+        bool reorder = false;
+        for (const auto& op : split_csv(v)) {
+          if (op == "drop") {
+            drop = true;
+          } else if (op == "delay") {
+            delay = true;
+          } else if (op == "reorder") {
+            reorder = true;
+          } else {
+            return "unknown op: " + op + ", expected drop|delay|reorder";
+          }
+        }
+        opts.allow_drop = drop;
+        opts.allow_delay = delay;
+        opts.allow_reorder = reorder;
+        return std::nullopt;
+      }));
+  sub.flags.push_back(cli::flag(
+      "--include-honest",
+      "also perturb honest-honest channels (beyond the\n"
+      "                        fault envelope; violations become expected)",
+      [&opts] { opts.corrupt_adjacent_only = false; }));
+  for (auto& row : after) sub.flags.push_back(std::move(row));
+  sub.flags.push_back(bounded_flag(
+      "--max-rounds", "N",
+      "replay engine-round guard, 0 = horizon + stall budget (default: 0)", 0, 1'000'000,
+      [&o](std::uint64_t n) { o.max_rounds = static_cast<Round>(n); }));
+  sub.flags.push_back(bounded_flag(
+      "--threads", "N", "per-wave fan-out, 0 = hardware (default: 0)", 0, 1'000'000,
+      [&opts](std::uint64_t n) { opts.threads = static_cast<unsigned>(n); }));
+  sub.flags.push_back(cli::value_flag(
+      "--replay", "TRACE",
+      "skip the search: replay one serialized schedule\n"
+      "                        trace and report its outcome",
+      [&o](const std::string& v) -> std::optional<std::string> {
+        o.replay = v;
+        return std::nullopt;
+      }));
+}
+
+/// The setup explore and fuzz share: refuse a setting outside the paper's
+/// solvable region, then build the searched cell from the seed and the
+/// battery. nullopt = exit 2 (the reason is on stderr).
+[[nodiscard]] std::optional<core::ScenarioSpec> search_scenario(const char* sub,
+                                                                const SearchCli& o) {
+  if (!budgets_fit(sub, o.cfg.k, o.cfg.tl, o.cfg.tr)) return std::nullopt;
+  if (!core::solvable(o.cfg)) {
+    std::cerr << "unsolvable setting: " << core::solvability_reason(o.cfg) << "\n";
+    return std::nullopt;
+  }
+  core::ScenarioSpec scenario;
+  scenario.config = o.cfg;
+  scenario.input_seed = o.seed;
+  scenario.pki_seed = o.seed + 1;
+  core::apply_battery(scenario, o.battery, o.seed);
+  return scenario;
+}
 
 [[nodiscard]] std::string views_json(const std::vector<std::uint64_t>& views) {
   std::string out = "[";
@@ -660,6 +730,16 @@ int run_merge_command(int argc, char** argv) {
     out += std::to_string(views[i]);
   }
   return out + "]";
+}
+
+[[nodiscard]] std::string scenario_json(const SearchCli& o, const core::ScenarioSpec& scenario) {
+  std::ostringstream out;
+  out << "\"scenario\": {\"topology\": \"" << core::json_escape(net::to_string(o.cfg.topology))
+      << "\", \"auth\": " << (o.cfg.authenticated ? "true" : "false") << ", \"k\": " << o.cfg.k
+      << ", \"tl\": " << o.cfg.tl << ", \"tr\": " << o.cfg.tr << ", \"seed\": " << o.seed
+      << ", \"battery\": \"" << battery_name(o.battery)
+      << "\", \"adversaries\": " << scenario.adversaries.size() << "}";
+  return out.str();
 }
 
 /// Shared by `explore --replay` and `fuzz --replay`: run one serialized
@@ -684,7 +764,7 @@ int run_replay(core::ScenarioSpec scenario, Round horizon, Round max_rounds,
   auto run = core::assemble_run(core::to_run_spec(scenario));
   const Round rounds = horizon == 0 ? run.rounds : horizon;
   const core::RunOutcome out = core::run_assembled(run, rounds, max_rounds);
-  std::cout << "{\n  \"replay\": {\"trace\": \"" << json_escape(trace->serialize())
+  std::cout << "{\n  \"replay\": {\"trace\": \"" << core::json_escape(trace->serialize())
             << "\", \"ops\": " << trace->ops.size() << ", \"rounds\": " << out.rounds
             << ", \"messages\": " << out.traffic.messages
             << ", \"delivered\": " << out.traffic.delivered_messages
@@ -697,25 +777,29 @@ int run_replay(core::ScenarioSpec scenario, Round horizon, Round max_rounds,
   return out.report.all() ? 0 : 1;
 }
 
-[[nodiscard]] std::string scenario_json(const core::ScenarioSpec& scenario, std::uint64_t seed,
-                                        core::Battery battery) {
-  std::ostringstream out;
-  out << "\"scenario\": {\"topology\": \"" << json_escape(net::to_string(scenario.config.topology))
-      << "\", \"auth\": " << (scenario.config.authenticated ? "true" : "false")
-      << ", \"k\": " << scenario.config.k << ", \"tl\": " << scenario.config.tl
-      << ", \"tr\": " << scenario.config.tr << ", \"seed\": " << seed << ", \"battery\": \""
-      << battery_name(battery) << "\", \"adversaries\": " << scenario.adversaries.size() << "}";
-  return out.str();
+/// The tail of both search reports: the metrics member, the verdict and
+/// the counterexample. Returns the exit code (0 = every searched
+/// schedule satisfied all four properties, 1 = violation found).
+int print_findings(const sched::SearchFindings& findings, const std::string& metrics_member) {
+  std::cout << "  " << metrics_member << "\"all_satisfied\": "
+            << (findings.all_satisfied() ? "true" : "false") << ",\n";
+  if (findings.counterexample.has_value()) {
+    std::cout << "  \"counterexample\": {\"trace\": \""
+              << core::json_escape(findings.counterexample->serialize())
+              << "\", \"ops\": " << findings.counterexample->ops.size()
+              << ", \"shrink_runs\": " << findings.shrink_runs
+              << ",\n    \"views\": " << views_json(findings.counterexample_views) << "}\n";
+  } else {
+    std::cout << "  \"counterexample\": null\n";
+  }
+  std::cout << "}\n";
+  return findings.all_satisfied() ? 0 : 1;
 }
 
-struct ExploreCli {
-  core::ScenarioSpec scenario;
-  std::uint64_t seed = 1;
-  core::Battery battery = core::Battery::Silent;
+// ----------------------------------------------------------- explore mode
+
+struct ExploreCli : SearchCli {
   sched::ExplorerOptions opts;
-  Round max_rounds = 0;
-  std::optional<std::string> replay;
-  ObsCli obs;
 };
 
 [[nodiscard]] cli::Subcommand explore_subcommand(ExploreCli& o) {
@@ -730,65 +814,25 @@ struct ExploreCli {
       "counterexample trace when one exists; exit 0 = every explored schedule\n"
       "satisfied all four properties, 1 = violation found, 2 = usage error or\n"
       "unsolvable setting";
-  add_scenario_flags(sub, o.scenario.config, o.seed, o.battery);
-  sub.flags.push_back(bounded_flag(
-      "--max-depth", "N", "max perturbation ops per schedule (default: 2)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.max_depth = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag(
-      "--max-delay", "N", "delay ops slip 1..N rounds (default: 1)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.max_delay = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag(
-      "--horizon", "N", "rounds to simulate, 0 = protocol deadline (default: 0)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.horizon = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(ops_flag(o.opts.allow_drop, o.opts.allow_delay, o.opts.allow_reorder));
-  sub.flags.push_back(cli::flag(
-      "--include-honest",
-      "also perturb honest-honest channels (beyond the\n"
-      "                        fault envelope; violations become expected)",
-      [&o] { o.opts.corrupt_adjacent_only = false; }));
-  sub.flags.push_back(bounded_flag(
-      "--max-schedules", "N", "cap on exploration runs (default: 4096)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.max_schedules = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag(
-      "--max-rounds", "N",
-      "replay engine-round guard, 0 = horizon + stall budget (default: 0)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.max_rounds = static_cast<Round>(n); }));
-  sub.flags.push_back(bounded_flag(
-      "--threads", "N", "per-wave fan-out, 0 = hardware (default: 0)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.threads = static_cast<unsigned>(n); }));
-  sub.flags.push_back(cli::value_flag(
-      "--replay", "TRACE",
-      "skip the search: replay one serialized schedule\n"
-      "                        trace and report its outcome",
-      [&o](const std::string& v) -> std::optional<std::string> {
-        o.replay = v;
-        return std::nullopt;
-      }));
+  add_search_flags(
+      sub, o, o.opts,
+      {bounded_flag("--max-depth", "N", "max perturbation ops per schedule (default: 2)", 0,
+                    1'000'000,
+                    [&o](std::uint64_t n) { o.opts.max_depth = static_cast<std::uint32_t>(n); })},
+      {bounded_flag(
+          "--max-schedules", "N", "cap on exploration runs (default: 4096)", 0, 1'000'000,
+          [&o](std::uint64_t n) { o.opts.max_schedules = static_cast<std::uint32_t>(n); })});
   add_obs_flags(sub, o.obs, /*with_metrics=*/true, /*with_progress=*/false);
   return sub;
 }
 
 int run_explore_command(int argc, char** argv) {
   ExploreCli o;
-  o.scenario.config = core::BsmConfig{net::TopologyKind::FullyConnected, true, 2, 1, 0};
-
-  const cli::Subcommand sub = explore_subcommand(o);
-  switch (cli::parse_flags(sub, argc, argv, 2, std::cerr)) {
-    case cli::ParseStatus::Help:
-      return 0;
-    case cli::ParseStatus::Error:
-      return 2;
-    case cli::ParseStatus::Ok:
-      break;
+  if (const auto code = cli::parse_flags(explore_subcommand(o), argc, argv, 2, std::cerr)) {
+    return *code;
   }
-
-  if (!core::solvable(o.scenario.config)) {
-    std::cerr << "unsolvable setting: " << core::solvability_reason(o.scenario.config) << "\n";
-    return 2;
-  }
-  o.scenario.input_seed = o.seed;
-  o.scenario.pki_seed = o.seed + 1;
-  core::apply_battery(o.scenario, o.battery, o.seed);
+  const auto scenario = search_scenario("explore", o);
+  if (!scenario) return 2;
 
   ObsSession obs_session;
   if (!obs_session.begin(o.obs, 0, obs::Counter::Evals, "execs")) {
@@ -799,18 +843,14 @@ int run_explore_command(int argc, char** argv) {
   if (o.replay.has_value()) {
     // Replay output is contractually a pure function of (scenario, trace):
     // the trace file is still written, but no metrics block is added.
-    return run_replay(o.scenario, o.opts.horizon, o.max_rounds, *o.replay);
+    return run_replay(*scenario, o.opts.horizon, o.max_rounds, *o.replay);
   }
 
-  const auto report = sched::explore(o.scenario, o.opts);
-  std::string metrics_part;
-  if (obs_session.metrics_enabled()) {
-    metrics_part = "\"metrics\": " + obs_session.metrics_json() + ",\n  ";
-  }
-  obs_session.finish();
+  const auto report = sched::explore(*scenario, o.opts);
+  const std::string metrics_part = obs_session.metrics_member();
 
   std::cout << "{\n  " << core::envelope_json("explore", o.opts.threads) << ",\n  "
-            << scenario_json(o.scenario, o.seed, o.battery) << ",\n";
+            << scenario_json(o, *scenario) << ",\n";
   std::cout << "  \"options\": {\"max_depth\": " << o.opts.max_depth
             << ", \"max_delay\": " << o.opts.max_delay << ", \"horizon\": " << o.opts.horizon
             << ", \"drop\": " << (o.opts.allow_drop ? "true" : "false")
@@ -823,31 +863,13 @@ int run_explore_command(int argc, char** argv) {
             << ", \"pruned\": " << report.pruned << ", \"violations\": " << report.violations
             << ", \"depth_reached\": " << report.depth_reached
             << ", \"truncated\": " << (report.truncated ? "true" : "false") << "},\n";
-  std::cout << "  " << metrics_part << "\"all_satisfied\": "
-            << (report.all_satisfied() ? "true" : "false") << ",\n";
-  if (report.counterexample.has_value()) {
-    std::cout << "  \"counterexample\": {\"trace\": \""
-              << json_escape(report.counterexample->serialize())
-              << "\", \"ops\": " << report.counterexample->ops.size()
-              << ", \"shrink_runs\": " << report.shrink_runs
-              << ",\n    \"views\": " << views_json(report.counterexample_views) << "}\n";
-  } else {
-    std::cout << "  \"counterexample\": null\n";
-  }
-  std::cout << "}\n";
-  return report.all_satisfied() ? 0 : 1;
+  return print_findings(report, metrics_part);
 }
 
 // -------------------------------------------------------------- fuzz mode
 
-struct FuzzCli {
-  core::ScenarioSpec scenario;
-  std::uint64_t seed = 1;
-  core::Battery battery = core::Battery::Silent;
+struct FuzzCli : SearchCli {
   sched::FuzzerOptions opts;
-  Round max_rounds = 0;
-  std::optional<std::string> replay;
-  ObsCli obs;
 };
 
 [[nodiscard]] cli::Subcommand fuzz_subcommand(FuzzCli& o) {
@@ -863,83 +885,38 @@ struct FuzzCli {
       "when one exists; same seed = bit-identical report at any thread count;\n"
       "exit 0 = no violation found, 1 = violation found, 2 = usage error or\n"
       "unsolvable setting";
-  add_scenario_flags(sub, o.scenario.config, o.seed, o.battery);
-  sub.flags.push_back(bounded_flag(
-      "--fuzz-seed", "S", "mutation/selection rng seed (default: 1)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.seed = n; }));
-  sub.flags.push_back(bounded_flag(
-      "--max-execs", "N", "total simulation budget (default: 2048)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.max_execs = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag(
-      "--batch", "N", "candidates per parallel wave (default: 32)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.batch = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag(
-      "--max-ops", "N", "op cap per mutated trace (default: 8)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.max_ops = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(ops_flag(o.opts.allow_drop, o.opts.allow_delay, o.opts.allow_reorder));
-  sub.flags.push_back(bounded_flag(
-      "--max-delay", "N", "delay ops slip 1..N rounds (default: 2)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.max_delay = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag(
-      "--omission-budget", "N", "max drops charged to one target (default: 4)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.omission_budget = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag(
-      "--horizon", "N", "rounds to simulate, 0 = protocol deadline (default: 0)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.horizon = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(cli::flag(
-      "--include-honest",
-      "also mutate honest-honest channels (beyond the\n"
-      "                        fault envelope; violations become expected)",
-      [&o] { o.opts.corrupt_adjacent_only = false; }));
-  sub.flags.push_back(cli::value_flag(
-      "--corpus", "DIR",
-      "load seed traces from DIR before fuzzing and\n"
-      "                        save the final corpus back (digest-keyed files)",
-      [&o](const std::string& v) -> std::optional<std::string> {
-        o.opts.corpus_dir = v;
-        return std::nullopt;
-      }));
-  sub.flags.push_back(bounded_flag(
-      "--max-rounds", "N",
-      "replay engine-round guard, 0 = horizon + stall budget (default: 0)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.max_rounds = static_cast<Round>(n); }));
-  sub.flags.push_back(bounded_flag(
-      "--threads", "N", "per-wave fan-out, 0 = hardware (default: 0)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.opts.threads = static_cast<unsigned>(n); }));
-  sub.flags.push_back(cli::value_flag(
-      "--replay", "TRACE",
-      "skip the fuzzing: replay one serialized schedule\n"
-      "                        trace and report its outcome",
-      [&o](const std::string& v) -> std::optional<std::string> {
-        o.replay = v;
-        return std::nullopt;
-      }));
+  add_search_flags(
+      sub, o, o.opts,
+      {bounded_flag("--fuzz-seed", "S", "mutation/selection rng seed (default: 1)", 0, 1'000'000,
+                    [&o](std::uint64_t n) { o.opts.seed = n; }),
+       bounded_flag("--max-execs", "N", "total simulation budget (default: 2048)", 0, 1'000'000,
+                    [&o](std::uint64_t n) { o.opts.max_execs = static_cast<std::uint32_t>(n); }),
+       bounded_flag("--batch", "N", "candidates per parallel wave (default: 32)", 1, 1'000'000,
+                    [&o](std::uint64_t n) { o.opts.batch = static_cast<std::uint32_t>(n); }),
+       bounded_flag("--max-ops", "N", "op cap per mutated trace (default: 8)", 0, 1'000'000,
+                    [&o](std::uint64_t n) { o.opts.max_ops = static_cast<std::uint32_t>(n); })},
+      {bounded_flag(
+           "--omission-budget", "N", "max drops charged to one target (default: 4)", 0, 1'000'000,
+           [&o](std::uint64_t n) { o.opts.omission_budget = static_cast<std::uint32_t>(n); }),
+       cli::value_flag("--corpus", "DIR",
+                       "load seed traces from DIR before fuzzing and\n"
+                       "                        save the final corpus back (digest-keyed files)",
+                       [&o](const std::string& v) -> std::optional<std::string> {
+                         o.opts.corpus_dir = v;
+                         return std::nullopt;
+                       })});
   add_obs_flags(sub, o.obs, /*with_metrics=*/true, /*with_progress=*/true);
   return sub;
 }
 
 int run_fuzz_command(int argc, char** argv) {
   FuzzCli o;
-  o.scenario.config = core::BsmConfig{net::TopologyKind::FullyConnected, true, 2, 1, 0};
   o.opts.allow_reorder = false;  // match explore's default op menu: drop,delay
-
-  const cli::Subcommand sub = fuzz_subcommand(o);
-  switch (cli::parse_flags(sub, argc, argv, 2, std::cerr)) {
-    case cli::ParseStatus::Help:
-      return 0;
-    case cli::ParseStatus::Error:
-      return 2;
-    case cli::ParseStatus::Ok:
-      break;
+  if (const auto code = cli::parse_flags(fuzz_subcommand(o), argc, argv, 2, std::cerr)) {
+    return *code;
   }
-
-  if (!core::solvable(o.scenario.config)) {
-    std::cerr << "unsolvable setting: " << core::solvability_reason(o.scenario.config) << "\n";
-    return 2;
-  }
-  o.scenario.input_seed = o.seed;
-  o.scenario.pki_seed = o.seed + 1;
-  core::apply_battery(o.scenario, o.battery, o.seed);
+  const auto scenario = search_scenario("fuzz", o);
+  if (!scenario) return 2;
 
   if (!o.replay.has_value() && !o.opts.corpus_dir.empty()) {
     // The corpus is saved only after the whole campaign: refuse an
@@ -962,22 +939,18 @@ int run_fuzz_command(int argc, char** argv) {
   if (o.replay.has_value()) {
     // Replay output is contractually a pure function of (scenario, trace):
     // the trace file is still written, but no metrics block is added.
-    return run_replay(o.scenario, o.opts.horizon, o.max_rounds, *o.replay);
+    return run_replay(*scenario, o.opts.horizon, o.max_rounds, *o.replay);
   }
 
-  sched::Fuzzer fuzzer(o.scenario, o.opts);
+  sched::Fuzzer fuzzer(*scenario, o.opts);
   const auto report = fuzzer.run();
-  std::string metrics_part;
-  if (obs_session.metrics_enabled()) {
-    metrics_part = "\"metrics\": " + obs_session.metrics_json() + ",\n  ";
-  }
-  obs_session.finish();
+  const std::string metrics_part = obs_session.metrics_member();
 
   // The fuzz envelope deliberately omits `threads`: the report is
   // contractually bit-identical across thread counts (the same exception
   // the JSONL header makes — see core/envelope.hpp).
   std::cout << "{\n  " << core::envelope_json("fuzz", 0, /*include_threads=*/false) << ",\n  "
-            << scenario_json(o.scenario, o.seed, o.battery) << ",\n";
+            << scenario_json(o, *scenario) << ",\n";
   std::cout << "  \"options\": {\"fuzz_seed\": " << o.opts.seed
             << ", \"max_execs\": " << o.opts.max_execs << ", \"batch\": " << o.opts.batch
             << ", \"max_ops\": " << o.opts.max_ops << ", \"max_delay\": " << o.opts.max_delay
@@ -988,26 +961,14 @@ int run_fuzz_command(int argc, char** argv) {
             << ", \"omission_budget\": " << o.opts.omission_budget
             << ", \"corrupt_adjacent_only\": "
             << (o.opts.corrupt_adjacent_only ? "true" : "false") << ", \"corpus_dir\": \""
-            << json_escape(o.opts.corpus_dir) << "\"},\n";
+            << core::json_escape(o.opts.corpus_dir) << "\"},\n";
   std::cout << "  \"fuzz\": {\"execs\": " << report.execs
             << ", \"corpus_size\": " << report.corpus_size
             << ", \"corpus_loaded\": " << report.corpus_loaded
             << ", \"corpus_saved\": " << report.corpus_saved
             << ", \"coverage\": " << report.coverage << ", \"interesting\": " << report.interesting
             << ", \"violations\": " << report.violations << "},\n";
-  std::cout << "  " << metrics_part << "\"all_satisfied\": "
-            << (report.all_satisfied() ? "true" : "false") << ",\n";
-  if (report.counterexample.has_value()) {
-    std::cout << "  \"counterexample\": {\"trace\": \""
-              << json_escape(report.counterexample->serialize())
-              << "\", \"ops\": " << report.counterexample->ops.size()
-              << ", \"shrink_runs\": " << report.shrink_runs
-              << ",\n    \"views\": " << views_json(report.counterexample_views) << "}\n";
-  } else {
-    std::cout << "  \"counterexample\": null\n";
-  }
-  std::cout << "}\n";
-  return report.all_satisfied() ? 0 : 1;
+  return print_findings(report, metrics_part);
 }
 
 // --------------------------------------------------------------- run mode
@@ -1015,7 +976,7 @@ int run_fuzz_command(int argc, char** argv) {
 struct RunCli {
   core::BsmConfig cfg{net::TopologyKind::FullyConnected, true, 4, 1, 1};
   std::uint64_t seed = 1;
-  std::vector<std::string> adversaries;
+  std::vector<core::AdversaryDesc::Kind> adversaries;
   bool verbose = false;
   std::optional<std::string> trace;  ///< --trace: scripted delivery schedule
   std::optional<Round> gst;          ///< --gst: eventual-synchrony schedule
@@ -1024,6 +985,16 @@ struct RunCli {
   ObsCli obs;
 };
 
+[[nodiscard]] std::optional<core::AdversaryDesc::Kind> parse_adversary(const std::string& name) {
+  using Kind = core::AdversaryDesc::Kind;
+  if (name == "silent") return Kind::Silent;
+  if (name == "noise") return Kind::Noise;
+  if (name == "liar") return Kind::Liar;
+  if (name == "split") return Kind::SplitBrainLiar;
+  if (name == "crash") return Kind::Crash;
+  return std::nullopt;
+}
+
 [[nodiscard]] cli::Subcommand run_subcommand(RunCli& o) {
   cli::Subcommand sub;
   sub.name = "run";
@@ -1031,94 +1002,49 @@ struct RunCli {
   sub.intro =
       "exit 0 = all four bSM properties held, 1 = violation,\n"
       "2 = unsolvable setting or usage error";
-  sub.flags = {
-      cli::value_flag("--topology", "KIND", "network topology: fully|one-sided|bipartite "
-                      "(default: fully)",
-                      [&o](const std::string& v) -> std::optional<std::string> {
-                        const auto parsed = parse_topology(v);
-                        if (!parsed) return "expected fully|one-sided|bipartite";
-                        o.cfg.topology = *parsed;
-                        return std::nullopt;
-                      }),
-      cli::flag("--auth", "PKI available (default)", [&o] { o.cfg.authenticated = true; }),
-      cli::flag("--no-auth", "no PKI", [&o] { o.cfg.authenticated = false; }),
-      bounded_flag("--k", "N", "parties per side (default: 4)", 0, 1'000'000,
-                   [&o](std::uint64_t n) { o.cfg.k = static_cast<std::uint32_t>(n); }),
-      bounded_flag("--tl", "N", "corruption budget within L (default: 1)", 0, 1'000'000,
-                   [&o](std::uint64_t n) { o.cfg.tl = static_cast<std::uint32_t>(n); }),
-      bounded_flag("--tr", "N", "corruption budget within R (default: 1)", 0, 1'000'000,
-                   [&o](std::uint64_t n) { o.cfg.tr = static_cast<std::uint32_t>(n); }),
-      bounded_flag("--seed", "S", "workload seed (default: 1)", 0, 1'000'000,
-                   [&o](std::uint64_t n) { o.seed = n; }),
-      cli::value_flag("--adversary", "KIND",
-                      "add one corrupted party: silent|noise|liar|split|crash",
-                      [&o](const std::string& v) -> std::optional<std::string> {
-                        if (v != "silent" && v != "noise" && v != "liar" && v != "split" &&
-                            v != "crash") {
-                          return "expected silent|noise|liar|split|crash";
-                        }
-                        o.adversaries.push_back(v);
-                        return std::nullopt;
-                      }),
-      cli::value_flag("--trace", "TRACE",
-                      "run under a scripted delivery schedule (serialized\n"
-                      "                        ScheduleTrace; stall@R:0>0*N ops stall the engine)",
-                      [&o](const std::string& v) -> std::optional<std::string> {
-                        if (v.empty()) return "expected a serialized schedule trace";
-                        o.trace = v;
-                        return std::nullopt;
-                      }),
-      bounded_flag("--gst", "N",
-                   "run under the eventual-synchrony schedule with GST at\n"
-                   "                        engine round N (stalls/delays before, synchronous after)",
-                   0, 1'000'000, [&o](std::uint64_t n) { o.gst = static_cast<Round>(n); }),
-      bounded_flag("--gst-seed", "S", "eventual-synchrony adversary seed (default: 1)", 0,
-                   1'000'000, [&o](std::uint64_t n) { o.gst_seed = n; }),
-      bounded_flag("--max-rounds", "N",
-                   "engine-round guard, 0 = deadline + stall budget; a\n"
-                   "                        starved run reports round_limit_hit instead of hanging",
-                   0, 1'000'000, [&o](std::uint64_t n) { o.max_rounds = static_cast<Round>(n); }),
-      cli::flag("--verbose", "print preference lists too", [&o] { o.verbose = true; }),
-  };
+  add_setting_flags(sub, o.cfg, o.seed);
+  sub.flags.push_back(cli::value_flag(
+      "--adversary", "KIND", "add one corrupted party: silent|noise|liar|split|crash",
+      [&o](const std::string& v) -> std::optional<std::string> {
+        const auto kind = parse_adversary(v);
+        if (!kind) return "expected silent|noise|liar|split|crash";
+        o.adversaries.push_back(*kind);
+        return std::nullopt;
+      }));
+  sub.flags.push_back(cli::value_flag(
+      "--trace", "TRACE",
+      "run under a scripted delivery schedule (serialized\n"
+      "                        ScheduleTrace; stall@R:0>0*N ops stall the engine)",
+      [&o](const std::string& v) -> std::optional<std::string> {
+        if (v.empty()) return "expected a serialized schedule trace";
+        o.trace = v;
+        return std::nullopt;
+      }));
+  sub.flags.push_back(bounded_flag(
+      "--gst", "N",
+      "run under the eventual-synchrony schedule with GST at\n"
+      "                        engine round N (stalls/delays before, synchronous after)",
+      0, 1'000'000, [&o](std::uint64_t n) { o.gst = static_cast<Round>(n); }));
+  sub.flags.push_back(bounded_flag("--gst-seed", "S",
+                                   "eventual-synchrony adversary seed (default: 1)", 0, 1'000'000,
+                                   [&o](std::uint64_t n) { o.gst_seed = n; }));
+  sub.flags.push_back(bounded_flag(
+      "--max-rounds", "N",
+      "engine-round guard, 0 = deadline + stall budget; a\n"
+      "                        starved run reports round_limit_hit instead of hanging",
+      0, 1'000'000, [&o](std::uint64_t n) { o.max_rounds = static_cast<Round>(n); }));
+  sub.flags.push_back(
+      cli::flag("--verbose", "print preference lists too", [&o] { o.verbose = true; }));
   add_obs_flags(sub, o.obs, /*with_metrics=*/false, /*with_progress=*/false);
   return sub;
 }
 
-[[nodiscard]] std::unique_ptr<net::Process> make_adversary(const std::string& kind,
-                                                           const core::RunSpec& spec, PartyId id,
-                                                           std::uint64_t seed) {
-  if (kind == "silent") return std::make_unique<adversary::Silent>();
-  if (kind == "noise") return std::make_unique<adversary::RandomNoise>(seed, 4);
-  if (kind == "crash") {
-    return std::make_unique<adversary::CrashAt>(
-        3, core::honest_process_for(spec, id, spec.inputs.list(id)));
-  }
-  if (kind == "liar") {
-    const auto lie = matching::contested_profile(spec.config.k);
-    return core::honest_process_for(spec, id, lie.list(id));
-  }
-  if (kind == "split") {
-    const auto lie = matching::contested_profile(spec.config.k);
-    return std::make_unique<adversary::SplitBrain>(
-        core::honest_process_for(spec, id, spec.inputs.list(id)),
-        core::honest_process_for(spec, id, lie.list(id)),
-        [](PartyId p) { return static_cast<int>(p % 2); });
-  }
-  std::cerr << "unknown adversary kind: " << kind << "\n";
-  return nullptr;
-}
-
 int run_run_command(int argc, char** argv, int first) {
   RunCli opt;
-  const cli::Subcommand sub = run_subcommand(opt);
-  switch (cli::parse_flags(sub, argc, argv, first, std::cerr)) {
-    case cli::ParseStatus::Help:
-      return 0;
-    case cli::ParseStatus::Error:
-      return 2;
-    case cli::ParseStatus::Ok:
-      break;
+  if (const auto code = cli::parse_flags(run_subcommand(opt), argc, argv, first, std::cerr)) {
+    return *code;
   }
+  if (!budgets_fit("run", opt.cfg.k, opt.cfg.tl, opt.cfg.tr)) return 2;
   if (opt.trace.has_value() && opt.gst.has_value()) {
     std::cerr << "run: --trace and --gst are mutually exclusive (try --help)\n";
     return 2;
@@ -1137,47 +1063,47 @@ int run_run_command(int argc, char** argv, int first) {
     return 2;
   }
 
-  core::RunSpec spec;
-  spec.config = opt.cfg;
-  spec.inputs = matching::random_profile(opt.cfg.k, opt.seed);
-  spec.pki_seed = opt.seed + 1;
+  core::ScenarioSpec scenario;
+  scenario.config = opt.cfg;
+  scenario.input_seed = opt.seed;
+  scenario.pki_seed = opt.seed + 1;
+  scenario.max_rounds = opt.max_rounds;
 
   // Assign adversaries: alternate sides while budget remains.
   std::uint32_t used_l = 0;
   std::uint32_t used_r = 0;
   for (std::size_t i = 0; i < opt.adversaries.size(); ++i) {
-    PartyId id = kNobody;
+    core::AdversaryDesc desc;
+    desc.kind = opt.adversaries[i];
+    desc.seed = opt.seed + i;  // the noise stream
     if (used_l < opt.cfg.tl && (used_l <= used_r || used_r >= opt.cfg.tr)) {
-      id = used_l++;
+      desc.id = used_l++;
     } else if (used_r < opt.cfg.tr) {
-      id = opt.cfg.k + used_r++;
+      desc.id = opt.cfg.k + used_r++;
     } else {
       std::cerr << "adversary #" << i + 1 << " exceeds the corruption budget; ignored\n";
       continue;
     }
-    auto strategy = make_adversary(opt.adversaries[i], spec, id, opt.seed + i);
-    if (!strategy) return 2;
-    spec.adversaries.push_back({id, 0, std::move(strategy)});
+    scenario.adversaries.push_back(desc);
   }
 
-  spec.max_rounds = opt.max_rounds;
   if (opt.trace.has_value()) {
     const auto trace = sched::ScheduleTrace::parse(*opt.trace);
     if (!trace) {
       std::cerr << "bad --trace: " << *opt.trace << "\n";
       return 2;
     }
-    spec.policy = std::make_unique<sched::ScriptedPolicy>(*trace);
+    scenario.sched.kind = sched::PolicyDesc::Kind::Scripted;
+    scenario.sched.trace = *trace;
   } else if (opt.gst.has_value()) {
-    // Corrupt-adjacent fault envelope, matching the sweep layer's default
-    // scope: delays/reorders only touch channels with a corrupted endpoint
-    // (stalls are engine-global by construction).
-    net::FaultEnvelope env;
-    for (const auto& adv : spec.adversaries) env.targets.insert(adv.id);
-    env.max_delay = 2;
-    spec.policy =
-        std::make_unique<sched::EventualSynchronyPolicy>(opt.gst_seed, *opt.gst, std::move(env));
+    // The scenario layer's default corrupt-adjacent envelope: delays and
+    // reorders only touch channels with a corrupted endpoint (stalls are
+    // engine-global by construction).
+    scenario.sched.kind = sched::PolicyDesc::Kind::EventualSynchrony;
+    scenario.sched.seed = opt.gst_seed;
+    scenario.sched.gst = *opt.gst;
   }
+  core::RunSpec spec = core::to_run_spec(scenario);
 
   if (opt.verbose) {
     std::cout << "\nPreference lists:\n";
@@ -1225,18 +1151,7 @@ void print_top_help() {
 
   const auto run_sub = run_subcommand(run_state);
   const auto sweep_sub = sweep_subcommand(sweep_state);
-  cli::Subcommand merge_sub;
-  {
-    // Rebuild merge's identity rows (run_merge_command owns the live
-    // table; only name/summary/intro/flags matter for help).
-    merge_sub.name = "merge";
-    merge_sub.summary = "merge + validate sweep shard JSONL files into the 1/1 document";
-    merge_sub.positional_name = "FILE.jsonl";
-    merge_sub.positional_help = "shard documents produced by `sweep --out` (one per shard)";
-    merge_sub.flags = {cli::value_flag(
-        "--out", "PATH|-", "write the merged JSONL to PATH (default: stdout)",
-        [](const std::string&) -> std::optional<std::string> { return std::nullopt; })};
-  }
+  const auto merge_sub = merge_subcommand(merge_out, merge_inputs);
   const auto explore_sub = explore_subcommand(explore_state);
   const auto fuzz_sub = fuzz_subcommand(fuzz_state);
   const auto bench_sub = core::bench_subcommand(bench_state);
