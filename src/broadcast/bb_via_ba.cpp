@@ -16,7 +16,10 @@ BBviaBA::BBviaBA(PartyId sender, Bytes input_if_sender, Bytes default_value,
 
 void BBviaBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::AppMsg>& inbox) {
   if (s == 0) {
-    if (io.self() == sender_) io.broadcast(encode_kv(MsgKind::Input, input_));
+    if (io.self() == sender_) {
+      Writer w;
+      io.broadcast(encode_kv(w, MsgKind::Input, input_));
+    }
     return;
   }
 
@@ -26,9 +29,9 @@ void BBviaBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::AppMs
     Bytes value = default_value_;
     for (const auto& msg : inbox) {
       if (msg.from != sender_) continue;
-      const auto kv = decode_kv(msg.body);
+      const auto kv = decode_kv_view(msg.body);
       if (kv && kv->kind == MsgKind::Input) {
-        value = kv->value;
+        value.assign(kv->value.begin(), kv->value.end());
         break;
       }
     }

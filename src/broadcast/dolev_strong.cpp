@@ -30,7 +30,7 @@ struct ChainMsg {
 
 /// decode_chain of the seed implementation, into reused storage: accepts
 /// and rejects exactly the same inputs, allocates only on capacity growth.
-[[nodiscard]] bool decode_chain_into(const Bytes& body, ChainMsg& m) {
+[[nodiscard]] bool decode_chain_into(ByteView body, ChainMsg& m) {
   Reader r(body);
   if (r.u8() != static_cast<std::uint8_t>(MsgKind::Chain)) return false;
   const auto value = r.bytes_view();
@@ -181,17 +181,19 @@ void DolevStrong::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
       // Relay = the received frame with the count bumped and our
       // countersignature appended; byte-identical to re-encoding the
       // extended chain, without touching the value or existing entries.
+      // The body views this round's delivery, so it is copied into a
+      // buffer the instance reuses.
       const auto sig = io.signer().sign(
           pooled ? signed_msg(value_idx, chain.signers,
                               static_cast<std::uint32_t>(chain.signers.size()))
                  : chain_digest(io.channel(), chain.value, chain.signers));
-      Bytes out = msg.body;
+      relay_.assign(msg.body.begin(), msg.body.end());
       const std::size_t count_off = 1 + 4 + chain.value.size();
-      store_u32_le(out, count_off, static_cast<std::uint32_t>(chain.signers.size()) + 1);
-      append_u32_le(out, io.self());
-      append_u32_le(out, sig.signer);
-      append_u64_le(out, sig.tag);
-      io.broadcast(out);
+      store_u32_le(relay_, count_off, static_cast<std::uint32_t>(chain.signers.size()) + 1);
+      append_u32_le(relay_, io.self());
+      append_u32_le(relay_, sig.signer);
+      append_u64_le(relay_, sig.tag);
+      io.broadcast(relay_);
     }
   }
 

@@ -90,6 +90,7 @@ class DolevStrong final : public Instance {
   Writer msg_scratch_;           ///< signed-message encode buffer (prefix + extension)
   std::uint32_t scratch_value_ = kNotPooled;  ///< value whose prefix msg_scratch_ holds
   std::size_t scratch_prefix_len_ = 0;
+  Bytes relay_;  ///< relayed-chain frame buffer
   std::uint64_t verifies_ = 0;
   std::uint64_t cache_hits_ = 0;
 };

@@ -9,11 +9,11 @@ InstanceIo::InstanceIo(InstanceHub& hub, net::Context& ctx, std::uint32_t channe
                        const std::vector<PartyId>& participants)
     : hub_(&hub), ctx_(&ctx), channel_(channel), participants_(&participants) {}
 
-void InstanceIo::send(PartyId to, const Bytes& inner) {
+void InstanceIo::send(PartyId to, ByteView inner) {
   hub_->send_on_channel(*ctx_, channel_, to, inner);
 }
 
-void InstanceIo::broadcast(const Bytes& inner) {
+void InstanceIo::broadcast(ByteView inner) {
   hub_->broadcast_on_channel(*ctx_, channel_, *participants_, inner);
 }
 
@@ -47,56 +47,75 @@ void InstanceHub::add_mailbox(std::uint32_t channel) {
               (channel >= mailboxes_.size() || mailboxes_[channel] == nullptr),
           "InstanceHub::add_mailbox: duplicate channel");
   if (channel >= mailboxes_.size()) mailboxes_.resize(channel + 1);
-  mailboxes_[channel] = std::make_unique<std::vector<net::AppMsg>>();
+  mailboxes_[channel] = std::make_unique<Mailbox>();
 }
 
 std::vector<net::AppMsg> InstanceHub::take_mailbox(std::uint32_t channel) {
   require(channel < mailboxes_.size() && mailboxes_[channel] != nullptr,
           "InstanceHub::take_mailbox: unknown mailbox");
-  return std::exchange(*mailboxes_[channel], {});
+  // The bytes stay in the mailbox's arena, which the next ingest() that
+  // finds the mailbox empty recycles.
+  return std::exchange(mailboxes_[channel]->messages, {});
+}
+
+ByteView InstanceHub::frame(std::uint32_t channel, ByteView inner) {
+  frame_.truncate(0);
+  frame_.u32(channel);
+  frame_.bytes(inner);
+  return frame_.data();
 }
 
 void InstanceHub::send_on_channel(net::Context& ctx, std::uint32_t channel, PartyId to,
-                                  const Bytes& inner) {
-  Writer w;
-  w.u32(channel);
-  w.bytes(inner);
-  router_.send(ctx, to, w.data());
+                                  ByteView inner) {
+  router_.send(ctx, to, frame(channel, inner));
 }
 
 void InstanceHub::broadcast_on_channel(net::Context& ctx, std::uint32_t channel,
                                        const std::vector<PartyId>& participants,
-                                       const Bytes& inner) {
+                                       ByteView inner) {
   // One frame encode for the whole broadcast; recipients receive the same
   // bytes in the same order as the per-recipient encode they replace.
-  Writer w;
-  w.u32(channel);
-  w.bytes(inner);
-  router_.broadcast(ctx, participants, w.data());
+  router_.broadcast(ctx, participants, frame(channel, inner));
 }
 
 void InstanceHub::send_raw(net::Context& ctx, std::uint32_t channel, PartyId to,
-                           const Bytes& body) {
+                           ByteView body) {
   send_on_channel(ctx, channel, to, body);
 }
 
 void InstanceHub::ingest(net::Context& ctx, net::Inbox inbox) {
-  for (net::AppMsg& msg : router_.route(ctx, inbox)) {
+  // Recycle the draining arena once nothing buffered views it.
+  if (kept_holds_[fill_ ^ 1] == 0) {
+    fill_ ^= 1;
+    kept_[fill_].reset();
+  }
+  const Round now = ctx.round();
+  for (const net::AppMsg& msg : router_.route(ctx, inbox)) {
     Reader r(msg.body);
     const std::uint32_t channel = r.u32();
-    (void)r.bytes_view();
+    // The instance payload: the frame minus its 8-byte header (u32 channel
+    // + u32 length), still a view into the delivered bytes.
+    const ByteView inner = r.bytes_view();
     if (!r.done()) continue;  // malformed frame: drop
-
-    // Strip the 8-byte frame header (u32 channel + u32 length) in place —
-    // a memmove on the buffer we already own instead of a fresh copy.
-    msg.body.erase(msg.body.begin(), msg.body.begin() + 8);
 
     if (Entry* entry = entry_at(channel); entry != nullptr) {
       // Only participants may speak on an instance's channel.
       if (!entry->participant_mask.contains(msg.from)) continue;
-      entry->buffer.push_back(net::AppMsg{msg.from, std::move(msg.body)});
+      if (steps_at(entry->base, now)) {
+        entry->buffer.emplace_back(msg.from, inner);  // stepped this round
+        continue;
+      }
+      // Kept past its round: copy into the arena being filled, which the
+      // entry now holds until its step.
+      if (((entry->kept >> fill_) & 1U) == 0) {
+        entry->kept |= static_cast<std::uint8_t>(1U << fill_);
+        ++kept_holds_[fill_];
+      }
+      entry->buffer.emplace_back(msg.from, kept_[fill_].store(inner));
     } else if (channel < mailboxes_.size() && mailboxes_[channel] != nullptr) {
-      mailboxes_[channel]->push_back(net::AppMsg{msg.from, std::move(msg.body)});
+      Mailbox& box = *mailboxes_[channel];
+      if (box.messages.empty()) box.bytes.reset();  // earlier takes are dead
+      box.messages.emplace_back(msg.from, box.bytes.store(inner));
     }
     // Unknown channel: drop.
   }
@@ -107,12 +126,15 @@ void InstanceHub::step_due(net::Context& ctx) {
   for (std::uint32_t channel = 0; channel < entries_.size(); ++channel) {
     Entry* entry = entries_[channel].get();
     if (entry == nullptr) continue;
-    if (now < entry->base || (now - entry->base) % stride_ != 0) continue;
+    if (!steps_at(entry->base, now)) continue;
     const std::uint32_t s = (now - entry->base) / stride_;
-    std::vector<net::AppMsg> inbox = std::exchange(entry->buffer, {});
-    if (entry->instance->done() || s > entry->instance->duration()) continue;
-    InstanceIo io(*this, ctx, channel, entry->participants);
-    entry->instance->step(io, s, inbox);
+    if (!entry->instance->done() && s <= entry->instance->duration()) {
+      InstanceIo io(*this, ctx, channel, entry->participants);
+      entry->instance->step(io, s, entry->buffer);
+    }
+    for (std::uint8_t i = 0; i < 2; ++i) kept_holds_[i] -= (entry->kept >> i) & 1U;
+    entry->kept = 0;
+    entry->buffer.clear();  // keeps its capacity
   }
 }
 

@@ -12,6 +12,16 @@
 // Outgoing instance messages carry a u32 channel header; the hub buffers
 // arrivals between steps and hands each instance, at step s, precisely the
 // messages its peers sent at step s-1.
+//
+// Messages are views (net::AppMsg), not copies. One that arrives in the
+// round its instance steps is handed over as the router decoded it, a view
+// into the engine's payload arena. One the hub keeps past its round is
+// copied into an arena the hub owns: in a stride-2 hub a direct frame
+// arrives one round before the step and goes into one of two step-buffer
+// arenas, each recycled once no buffered message views it; a raw mailbox
+// holds its messages in its own arena until they are taken. Frames are
+// encoded into a scratch buffer the hub reuses, and step buffers keep
+// their capacity, so a steady-state round allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +32,7 @@
 #include "common/codec.hpp"
 #include "common/party_set.hpp"
 #include "common/types.hpp"
+#include "net/engine.hpp"
 #include "net/process.hpp"
 #include "net/relay.hpp"
 
@@ -36,9 +47,9 @@ class InstanceIo {
              const std::vector<PartyId>& participants);
 
   /// Send to one participant (virtual channels transparently relayed).
-  void send(PartyId to, const Bytes& inner);
+  void send(PartyId to, ByteView inner);
   /// Send to every participant, self included.
-  void broadcast(const Bytes& inner);
+  void broadcast(ByteView inner);
 
   [[nodiscard]] PartyId self() const;
   [[nodiscard]] const std::vector<PartyId>& participants() const { return *participants_; }
@@ -59,7 +70,9 @@ class Instance {
   virtual ~Instance() = default;
 
   /// Called once per protocol step s = 0, 1, ..., duration(); `inbox` holds
-  /// the instance's messages that arrived since the previous step.
+  /// the instance's messages that arrived since the previous step. Their
+  /// bodies are valid for this call only: an instance that keeps bytes
+  /// copies them.
   virtual void step(InstanceIo& io, std::uint32_t s, const std::vector<net::AppMsg>& inbox) = 0;
 
   /// The step index at which this instance decides (inclusive).
@@ -91,11 +104,15 @@ class InstanceHub {
 
   /// Register a raw mailbox (control traffic outside any instance).
   void add_mailbox(std::uint32_t channel);
+  /// The messages a mailbox collected since the last take. Their bodies
+  /// are valid until the next ingest().
   [[nodiscard]] std::vector<net::AppMsg> take_mailbox(std::uint32_t channel);
 
   /// Round phase 1: route the physical inbox, buffer per channel.
   void ingest(net::Context& ctx, net::Inbox inbox);
-  /// Round phase 2: step every instance due at the current round.
+  /// Round phase 2: step every instance due at the current round. Call it
+  /// in the same round as ingest(): messages for an instance due this round
+  /// are buffered as views that live only for the round.
   void step_due(net::Context& ctx);
 
   [[nodiscard]] bool all_done() const;
@@ -105,7 +122,7 @@ class InstanceHub {
   [[nodiscard]] std::uint32_t stride() const noexcept { return stride_; }
 
   /// Send control traffic on a raw channel.
-  void send_raw(net::Context& ctx, std::uint32_t channel, PartyId to, const Bytes& body);
+  void send_raw(net::Context& ctx, std::uint32_t channel, PartyId to, ByteView body);
 
   /// Engine round at which an instance with the given base reaches step s.
   [[nodiscard]] Round round_of_step(Round base, std::uint32_t s) const {
@@ -114,18 +131,31 @@ class InstanceHub {
 
  private:
   friend class InstanceIo;
-  void send_on_channel(net::Context& ctx, std::uint32_t channel, PartyId to, const Bytes& inner);
+  void send_on_channel(net::Context& ctx, std::uint32_t channel, PartyId to, ByteView inner);
   /// Encode the channel frame once and send it to every participant.
   void broadcast_on_channel(net::Context& ctx, std::uint32_t channel,
-                            const std::vector<PartyId>& participants, const Bytes& inner);
+                            const std::vector<PartyId>& participants, ByteView inner);
+  /// Encode the channel frame into frame_.
+  [[nodiscard]] ByteView frame(std::uint32_t channel, ByteView inner);
 
   struct Entry {
     Round base = 0;
     std::vector<PartyId> participants;
     core::PartySet participant_mask;  ///< same set, O(1) ingest filtering
     std::unique_ptr<Instance> instance;
-    std::vector<net::AppMsg> buffer;
+    std::vector<net::AppMsg> buffer;  ///< messages for the next step
+    std::uint8_t kept = 0;            ///< bit i set: buffer holds bytes in kept_[i]
   };
+  /// A raw mailbox owns the bytes of its messages until they are taken.
+  struct Mailbox {
+    std::vector<net::AppMsg> messages;
+    net::PayloadArena bytes;
+  };
+
+  /// True when an entry with this base steps at engine round `now`.
+  [[nodiscard]] bool steps_at(Round base, Round now) const noexcept {
+    return now >= base && (now - base) % stride_ == 0;
+  }
 
   [[nodiscard]] Entry* entry_at(std::uint32_t channel) noexcept {
     return channel < entries_.size() ? entries_[channel].get() : nullptr;
@@ -142,7 +172,15 @@ class InstanceHub {
   // slice of the ingest hot path. Iteration by ascending index preserves
   // the old std::map stepping order exactly.
   std::vector<std::unique_ptr<Entry>> entries_;
-  std::vector<std::unique_ptr<std::vector<net::AppMsg>>> mailboxes_;
+  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  // Step-buffer messages kept past their round. New copies go into
+  // kept_[fill_]; the other arena is reset and takes over filling at the
+  // first ingest() where no buffer holds bytes in it. In a stride-2 hub
+  // each arena holds one round's copies and is recycled two rounds later.
+  net::PayloadArena kept_[2];
+  std::uint32_t kept_holds_[2] = {0, 0};  ///< entries with bytes in each arena
+  std::uint8_t fill_ = 0;
+  Writer frame_;  ///< outgoing channel frames
 };
 
 }  // namespace bsm::broadcast

@@ -14,7 +14,8 @@ void OmissionBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::Ap
       // Inner Pi_King just decided; echo its output to everyone.
       require(inner_.done() && inner_.output().has_value(),
               "OmissionBA: inner phase-king must decide a value");
-      io.broadcast(encode_kv(MsgKind::Final, *inner_.output()));
+      Writer w;
+      io.broadcast(encode_kv(w, MsgKind::Final, *inner_.output()));
     }
     return;
   }

@@ -23,9 +23,9 @@ void PhaseKingBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
       const PartyId king = king_of(io.participants(), s / 3 - 1);
       for (const auto& msg : inbox) {
         if (msg.from != king) continue;
-        const auto kv = decode_kv(msg.body);
+        const auto kv = decode_kv_view(msg.body);
         if (!kv || kv->kind != MsgKind::King) continue;
-        if (!strong_) v_ = kv->value;
+        if (!strong_) v_.assign(kv->value.begin(), kv->value.end());
         break;
       }
       // A missing king message (omission, or silent byzantine king) leaves
@@ -35,7 +35,7 @@ void PhaseKingBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
       decide(v_);
       return;
     }
-    io.broadcast(encode_kv(MsgKind::Value, v_));
+    io.broadcast(encode_kv(out_, MsgKind::Value, v_));
     return;
   }
 
@@ -46,7 +46,7 @@ void PhaseKingBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
     for (const std::uint32_t idx : tally_.ordered()) {
       const auto& bucket = tally_.bucket(idx);
       if (quorums_->complement_corruptible(bucket.senders)) {
-        io.broadcast(encode_kv(MsgKind::Propose, bucket.value));
+        io.broadcast(encode_kv(out_, MsgKind::Propose, bucket.value));
         break;
       }
     }
@@ -66,7 +66,7 @@ void PhaseKingBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
     }
   }
   if (io.self() == king_of(io.participants(), s / 3)) {
-    io.broadcast(encode_kv(MsgKind::King, v_));
+    io.broadcast(encode_kv(out_, MsgKind::King, v_));
   }
 }
 

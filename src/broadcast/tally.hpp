@@ -5,8 +5,8 @@
 // value and asks a quorum predicate about each group's sender set. The
 // node-based version rebuilt a map of sets per round — one allocation per
 // distinct value plus one per sender node. The arena instead buckets by
-// 64-bit value digest in a small open-addressed table of indices; a digest
-// match is confirmed by full-bytes equality (a colliding digest costs one
+// 64-bit content_key in a small open-addressed table of indices; a key
+// match is confirmed by full-bytes equality (a colliding key costs one
 // compare, never a wrong merge), and every backing structure (bucket
 // vector, slot table, sender bitsets, value buffers) is retained across
 // rounds, so steady-state tallying allocates nothing.
@@ -33,7 +33,7 @@ namespace bsm::broadcast {
 class TallyArena {
  public:
   struct Bucket {
-    std::uint64_t digest = 0;
+    std::uint64_t key = 0;  ///< content_key(value): a table key, never a digest
     Bytes value;
     core::PartySet senders;
   };
@@ -68,16 +68,16 @@ class TallyArena {
   [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
 
  private:
-  /// Open-addressed lookup by (digest, full bytes); claims a fresh bucket
+  /// Open-addressed lookup by (key, full bytes); claims a fresh bucket
   /// slot (reusing retired Bucket storage) on miss.
-  [[nodiscard]] std::uint32_t find_or_insert(std::span<const std::uint8_t> value) {
+  [[nodiscard]] std::uint32_t find_or_insert(ByteView value) {
     if (slots_.size() < 2 * (size_ + 1)) grow();
-    const std::uint64_t digest = fnv1a64(value);
+    const std::uint64_t key = content_key(value);
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(digest) & mask;
+    std::size_t i = static_cast<std::size_t>(key) & mask;
     while (slots_[i] != 0) {
       Bucket& b = buckets_[slots_[i] - 1];
-      if (b.digest == digest && b.value.size() == value.size() &&
+      if (b.key == key && b.value.size() == value.size() &&
           std::equal(value.begin(), value.end(), b.value.begin())) {
         return slots_[i] - 1;
       }
@@ -85,7 +85,7 @@ class TallyArena {
     }
     if (size_ == buckets_.size()) buckets_.emplace_back();
     Bucket& b = buckets_[size_];
-    b.digest = digest;
+    b.key = key;
     b.value.assign(value.begin(), value.end());
     b.senders.clear();
     slots_[i] = ++size_;
@@ -97,7 +97,7 @@ class TallyArena {
     slots_.assign(cap, 0);
     const std::size_t mask = cap - 1;
     for (std::uint32_t idx = 0; idx < size_; ++idx) {
-      std::size_t i = static_cast<std::size_t>(buckets_[idx].digest) & mask;
+      std::size_t i = static_cast<std::size_t>(buckets_[idx].key) & mask;
       while (slots_[i] != 0) i = (i + 1) & mask;
       slots_[i] = idx + 1;
     }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 
 #include "common/codec.hpp"
 #include "common/types.hpp"
@@ -19,12 +18,15 @@ enum class MsgKind : std::uint8_t {
   Chain = 6,    ///< Dolev-Strong signed value chain
 };
 
-/// Encode {kind, value} — the common shape of phase-king traffic.
-[[nodiscard]] inline Bytes encode_kv(MsgKind kind, const Bytes& value) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.bytes(value);
-  return w.take();
+/// Encode {kind, value} — the common shape of phase-king traffic — into
+/// `scratch`, replacing its contents. The result views `scratch`, so it is
+/// valid until the scratch is next written; a caller that sends it right
+/// away reuses one buffer for every message.
+inline ByteView encode_kv(Writer& scratch, MsgKind kind, ByteView value) {
+  scratch.truncate(0);
+  scratch.u8(static_cast<std::uint8_t>(kind));
+  scratch.bytes(value);
+  return scratch.data();
 }
 
 struct KvMsg {
@@ -33,7 +35,7 @@ struct KvMsg {
 };
 
 /// Decode {kind, value}; nullopt on malformed input.
-[[nodiscard]] inline std::optional<KvMsg> decode_kv(const Bytes& body) {
+[[nodiscard]] inline std::optional<KvMsg> decode_kv(ByteView body) {
   Reader r(body);
   const auto kind = r.u8();
   Bytes value = r.bytes();
@@ -42,16 +44,16 @@ struct KvMsg {
 }
 
 /// Zero-copy variant of KvMsg: `value` borrows from the decoded body, so it
-/// is valid only while that buffer is alive and unmodified. The tally hot
-/// loop uses this to classify messages without one allocation per message.
+/// is valid only while that buffer is alive and unmodified. The instances
+/// use this to read messages without one allocation per message.
 struct KvView {
   MsgKind kind;
-  std::span<const std::uint8_t> value;
+  ByteView value;
 };
 
 /// Decode {kind, value} as a view; accepts and rejects exactly the same
 /// inputs as decode_kv (the tally differential tests rely on it).
-[[nodiscard]] inline std::optional<KvView> decode_kv_view(const Bytes& body) {
+[[nodiscard]] inline std::optional<KvView> decode_kv_view(ByteView body) {
   Reader r(body);
   const auto kind = r.u8();
   const auto value = r.bytes_view();

@@ -4,7 +4,9 @@
 // crypto/pki.hpp), not by hash strength.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 
@@ -15,6 +17,31 @@ namespace bsm {
 /// FNV-1a over a byte buffer.
 [[nodiscard]] std::uint64_t fnv1a64(const Bytes& data) noexcept;
 [[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> data) noexcept;
+
+/// A fast 64-bit key over a byte buffer, for in-process hash tables whose
+/// every key match is confirmed by full-bytes equality (the engine's
+/// per-round payload interning, TallyArena buckets). Never part of a
+/// transcript: no view hash, digest or output depends on it, so it may
+/// change freely and may differ across platforms (it reads native-endian
+/// words). Consumes 8 bytes per step with one multiply and one rotate —
+/// several times cheaper than fnv1a64's multiply per byte.
+[[nodiscard]] inline std::uint64_t content_key(std::span<const std::uint8_t> data) noexcept {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  const std::size_t n = data.size();
+  std::uint64_t h = n * kMul;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, data.data() + i, 8);
+    h = std::rotl((h ^ w) * kMul, 31);
+  }
+  if (i < n) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, data.data() + i, n - i);
+    h = std::rotl((h ^ w) * kMul, 31);
+  }
+  return h ^ (h >> 32);
+}
 
 /// splitmix64 finalizer; good bit mixing for combining hashes and seeding.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t x) noexcept;

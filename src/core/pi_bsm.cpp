@@ -78,13 +78,14 @@ void PiBsmAlgo::on_round(net::Context& ctx, net::Inbox inbox) {
   if (ctx.round() == 1) {
     // One Delta has passed: fix the received B lists and join one Pi_BA per
     // B party (default list for the silent or garbled ones).
+    // The mailbox's bodies live for this round; the lists are copied.
     std::map<PartyId, Bytes> received;
-    for (auto& msg : hub_.take_mailbox(pi_bsm_list_channel(cfg_.k))) {
+    for (const auto& msg : hub_.take_mailbox(pi_bsm_list_channel(cfg_.k))) {
       if (std::find(other_members_.begin(), other_members_.end(), msg.from) ==
           other_members_.end()) {
         continue;
       }
-      received.try_emplace(msg.from, std::move(msg.body));
+      received.try_emplace(msg.from, msg.body.begin(), msg.body.end());
     }
     const Side other_side = opposite(algo_side_);
     const Bytes def_other =
@@ -153,7 +154,8 @@ PiBsmOther::PiBsmOther(const BsmConfig& cfg, Side algo_side, PartyId self,
 
 void PiBsmOther::on_round(net::Context& ctx, net::Inbox inbox) {
   // Forwarding duty (Pi_bSM line 1 for R) and application-message decode.
-  const std::vector<net::AppMsg> msgs = router_.route(ctx, inbox);
+  // `msgs` views the router's buffer, which only the next route() reuses.
+  const std::span<const net::AppMsg> msgs = router_.route(ctx, inbox);
 
   if (ctx.round() == 0) {
     // Send our preference list to every algorithm-side party.
@@ -166,7 +168,7 @@ void PiBsmOther::on_round(net::Context& ctx, net::Inbox inbox) {
   for (const auto& msg : msgs) {
     Reader r(msg.body);
     const std::uint32_t channel = r.u32();
-    const Bytes inner = r.bytes();
+    const ByteView inner = r.bytes_view();
     if (!r.done() || channel != pi_bsm_suggest_channel(cfg_.k)) continue;
     if (side_of(msg.from, cfg_.k) != algo_side_) continue;
     Reader ir(inner);

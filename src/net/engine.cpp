@@ -24,6 +24,11 @@ namespace {
 /// geometrically and keep the blocks.
 constexpr std::size_t kFirstBlockBytes = 4096;
 
+/// First intern-table size. The sweep and fuzz workloads build a fresh
+/// engine per small cell, so the table starts small and doubles whenever
+/// it is half full.
+constexpr std::size_t kFirstInternSlots = 64;
+
 /// The engine-backed context: validates channel use and collects sends.
 class EngineContext final : public Context {
  public:
@@ -47,16 +52,15 @@ class EngineContext final : public Context {
       require(corrupt_, "Context::send: honest process used a nonexistent channel");
       return;
     }
-    // A broadcast pushes the same bytes once per recipient, back to back.
-    // Comparing against this context's previous send turns n stores and n
-    // payload hashes into one of each plus n - 1 memcmps: every envelope
-    // of the broadcast shares one view and one digest, which the delivery
-    // fold consumes.
-    if (!std::ranges::equal(payload, last_)) {
-      last_ = bytes_->store(payload);
-      last_digest_ = fnv1a64(last_);
-    }
-    out_->push_back(Envelope{self_, to, round_, last_, last_digest_});
+    // A broadcast pushes the same bytes once per recipient, back to back,
+    // so the comparison against this context's previous send settles most
+    // sends with one memcmp. Other bytes go through the arena's intern
+    // table: a payload another party already sent this round (a relayed
+    // message's k forwards, honest parties' identical votes) reuses that
+    // copy and its digest. Every envelope of a payload shares one view and
+    // one digest, which the delivery fold consumes.
+    if (!std::ranges::equal(payload, last_.bytes)) last_ = bytes_->intern(payload);
+    out_->push_back(Envelope{self_, to, round_, last_.bytes, last_.digest});
   }
 
   [[nodiscard]] Round round() const override { return round_; }
@@ -74,8 +78,8 @@ class EngineContext final : public Context {
   std::vector<Envelope>* out_;
   PayloadArena* bytes_;
   bool corrupt_;
-  ByteView last_;                  ///< this context's last stored payload
-  std::uint64_t last_digest_ = 0;  ///< fnv1a64(last_), 0 before the first store
+  /// This context's last interned payload; digest 0 before the first.
+  PayloadArena::Interned last_;
 };
 
 }  // namespace
@@ -100,10 +104,46 @@ ByteView PayloadArena::store(ByteView bytes) {
   return {out, n};
 }
 
+PayloadArena::Interned PayloadArena::intern(ByteView bytes) {
+  if (bytes.empty()) return {{}, fnv1a64(bytes)};
+  if (slots_.empty()) slots_.resize(kFirstInternSlots);
+  const std::uint64_t key = content_key(bytes);
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(key) & mask;
+  for (; slots_[i].gen == gen_; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.key == key && s.size == bytes.size() &&
+        std::memcmp(s.data, bytes.data(), bytes.size()) == 0) {
+      return {{s.data, s.size}, s.digest};
+    }
+  }
+  const ByteView stored = store(bytes);
+  const std::uint64_t digest = fnv1a64(stored);
+  slots_[i] = Slot{stored.data(), static_cast<std::uint32_t>(stored.size()), gen_, key, digest};
+  if (2 * ++interned_ > slots_.size()) grow_table();
+  return {stored, digest};
+}
+
+void PayloadArena::grow_table() {
+  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(2 * slots_.size()));
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.gen != gen_) continue;
+    std::size_t i = static_cast<std::size_t>(s.key) & mask;
+    while (slots_[i].gen == gen_) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
+
 void PayloadArena::reset() noexcept {
   for (const Block& b : blocks_) ASAN_POISON_MEMORY_REGION(b.data.get(), b.size);
   block_ = 0;
   used_ = 0;
+  interned_ = 0;
+  if (++gen_ == 0) {  // wrapped: forget every slot so no stale one matches
+    for (Slot& s : slots_) s.gen = 0;
+    gen_ = 1;
+  }
 }
 
 void Mailbox::assemble(std::vector<Envelope>&& sends, std::size_t n) {

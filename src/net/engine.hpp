@@ -9,11 +9,12 @@
 // Delivery is batched: each round's envelopes live in one contiguous arena
 // (the Mailbox), grouped by recipient and ordered by sender, and every
 // process receives its inbox as a zero-copy slice of that arena. Payload
-// bytes live in a second, per-round byte arena (PayloadArena): a send
-// copies its bytes in once, consecutive identical sends from one party (a
-// broadcast) share that copy and its digest, and envelopes carry views.
-// Both arenas are recycled round over round, so steady-state sends and
-// deliveries allocate nothing.
+// bytes live in a second, per-round byte arena (PayloadArena) that interns
+// them: each distinct payload of a round is copied in and FNV-hashed once,
+// whichever parties send it (a broadcast, the k identical forwards of a
+// relayed message, the identical values honest parties broadcast), and
+// envelopes carry views of that one copy. Both arenas are recycled round
+// over round, so steady-state sends and deliveries allocate nothing.
 //
 // For the impossibility experiments the engine records, per party, a hash
 // of everything the party has received — two runs are indistinguishable to
@@ -102,13 +103,28 @@ class Mailbox {
 /// bytes are handed out. Blocks are kept and reused round over round, grow
 /// geometrically from a small first block, and are not zero-filled.
 ///
+/// intern() is store() deduplicated within the round: bytes equal to a
+/// payload interned since the last reset() get that payload's view and
+/// fnv1a64 digest back instead of a new copy, so each distinct content is
+/// copied and hashed once however many parties send it. The lookup table
+/// is open-addressed by content_key (never part of a transcript) with a
+/// full-bytes comparison on every key match, starts at 64 slots, grows
+/// with load, and is emptied by reset() in O(1) (a generation bump).
+///
 /// Under AddressSanitizer, reset() poisons every block and store()
 /// unpoisons exactly the bytes it hands out, so a payload view read after
 /// its round is reported as use-after-poison instead of silently reading
 /// a later round's bytes.
 class PayloadArena {
  public:
+  /// A stored payload and its fnv1a64 digest.
+  struct Interned {
+    ByteView bytes;
+    std::uint64_t digest = 0;
+  };
+
   [[nodiscard]] ByteView store(ByteView bytes);
+  [[nodiscard]] Interned intern(ByteView bytes);
   void reset() noexcept;
 
  private:
@@ -116,10 +132,24 @@ class PayloadArena {
     std::unique_ptr<std::uint8_t[]> data;
     std::size_t size = 0;
   };
+  /// An intern-table entry; live only while `gen` equals the arena's.
+  struct Slot {
+    const std::uint8_t* data = nullptr;
+    std::uint32_t size = 0;
+    std::uint32_t gen = 0;
+    std::uint64_t key = 0;
+    std::uint64_t digest = 0;
+  };
+
+  void grow_table();
 
   std::vector<Block> blocks_;
   std::size_t block_ = 0;  ///< block the next store() writes into
   std::size_t used_ = 0;   ///< bytes handed out from blocks_[block_]
+
+  std::vector<Slot> slots_;   ///< intern table, power-of-two sized
+  std::size_t interned_ = 0;  ///< live slots this generation
+  std::uint32_t gen_ = 1;     ///< 0 marks a never-used slot
 };
 
 class Engine {

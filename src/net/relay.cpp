@@ -1,6 +1,7 @@
 #include "net/relay.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace bsm::net {
 
@@ -10,6 +11,9 @@ namespace {
 constexpr std::uint8_t kDirect = 0;
 constexpr std::uint8_t kRelayReq = 1;
 constexpr std::uint8_t kRelayFwd = 2;
+
+/// First (src, id) table size; it doubles whenever it is half full.
+constexpr std::size_t kFirstSlots = 16;
 
 }  // namespace
 
@@ -25,13 +29,46 @@ const Bytes& RelayRouter::signed_content(PartyId src, PartyId dst, std::uint64_t
   return signed_.data();
 }
 
-void RelayRouter::send(Context& ctx, PartyId to, const Bytes& body) {
+std::size_t RelayRouter::probe(PartyId src, std::uint64_t id) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(hash_combine(src, id)) & mask;
+  while (slots_[i].src != kNobody && (slots_[i].src != src || slots_[i].id != id)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+RelayRouter::Slot& RelayRouter::claim(std::size_t i, PartyId src, std::uint64_t id) {
+  slots_[i] = Slot{src, false, kNone, id};
+  if (2 * ++used_ <= slots_.size()) return slots_[i];
+  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(2 * slots_.size()));
+  for (const Slot& slot : old) {
+    if (slot.src != kNobody) slots_[probe(slot.src, slot.id)] = slot;
+  }
+  return slots_[probe(src, id)];
+}
+
+std::uint32_t RelayRouter::new_candidate(ByteView body) {
+  std::uint32_t c = free_;
+  if (c == kNone) {
+    c = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
+  } else {
+    free_ = pool_[c].next;
+    pool_[c].voters.clear();
+  }
+  pool_[c].body.assign(body.begin(), body.end());
+  pool_[c].next = kNone;
+  return c;
+}
+
+void RelayRouter::send(Context& ctx, PartyId to, ByteView body) {
   const Topology& topo = ctx.topology();
   if (to == ctx.self() || topo.connected(ctx.self(), to)) {
-    Writer w;
-    w.u8(kDirect);
-    w.bytes(body);
-    ctx.send(to, w.data());
+    direct_.truncate(0);
+    direct_.u8(kDirect);
+    direct_.bytes(body);
+    ctx.send(to, direct_.data());
     return;
   }
 
@@ -39,7 +76,8 @@ void RelayRouter::send(Context& ctx, PartyId to, const Bytes& body) {
   const std::uint64_t id = next_id_++;
   const Round tau = ctx.round();
 
-  Writer w;
+  Writer& w = request_;
+  w.truncate(0);
   w.u8(kRelayReq);
   w.u32(to);
   w.u64(id);
@@ -71,26 +109,27 @@ void RelayRouter::send(Context& ctx, PartyId to, const Bytes& body) {
 }
 
 void RelayRouter::broadcast(Context& ctx, const std::vector<PartyId>& recipients,
-                            const Bytes& body) {
+                            ByteView body) {
   const Topology& topo = ctx.topology();
   const PartyId self = ctx.self();
-  Writer direct;
+  bool framed = false;
   for (PartyId to : recipients) {
     if (to == self || topo.connected(self, to)) {
-      if (direct.size() == 0) {
-        direct.u8(kDirect);
-        direct.bytes(body);
+      if (!framed) {
+        direct_.truncate(0);
+        direct_.u8(kDirect);
+        direct_.bytes(body);
+        framed = true;
       }
-      ctx.send(to, direct.data());
+      ctx.send(to, direct_.data());
     } else {
       send(ctx, to, body);  // relay path: per-destination frame (unique id)
     }
   }
 }
 
-std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
-  std::vector<AppMsg> out;
-  out.reserve(inbox.size());
+std::span<const AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
+  out_.clear();
   const Topology& topo = ctx.topology();
   const std::uint32_t k = topo.k();
   const PartyId self = ctx.self();
@@ -100,12 +139,12 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
     const std::uint8_t tag = r.u8();
 
     if (tag == kDirect) {
-      Bytes body = r.bytes();
+      const ByteView body = r.bytes_view();
       if (!r.done()) {
         ++rejected_;
         continue;
       }
-      out.push_back(AppMsg{env.from, std::move(body)});
+      out_.emplace_back(env.from, body);
       continue;
     }
 
@@ -113,7 +152,7 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
       const PartyId dst = r.u32();
       const std::uint64_t id = r.u64();
       const Round tau = r.u32();
-      const auto body_view = r.bytes_view();  // owned copy only if we must re-sign-check
+      const auto body_view = r.bytes_view();
       const PartyId src = env.from;  // channels are authenticated
       crypto::Signature sig;
       const bool auth = mode_ == RelayMode::AuthSigned || mode_ == RelayMode::AuthTimed;
@@ -150,27 +189,37 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
         ++rejected_;
         continue;
       }
-      if (accepted_.contains({src, id})) continue;  // replay / duplicate
+      if (slots_.empty()) slots_.resize(kFirstSlots);
+      const std::size_t at = probe(src, id);
+      if (slots_[at].accepted) continue;  // replay / duplicate
 
       if (mode_ == RelayMode::UnauthMajority) {
         // Count distinct forwarders vouching for byte-identical content.
         // Bodies are compared in full, never by digest: a byzantine relay
         // could otherwise forge a body that shares the honest one's
         // digest and collect the honest relays' votes for it. The body is
-        // materialized once per distinct content, not per copy.
-        auto& candidates = pending_[MajorityKey{src, id}];
-        auto it = std::ranges::find_if(candidates, [&](const Candidate& c) {
-          return std::ranges::equal(c.body, body_view);
-        });
-        if (it == candidates.end()) {
-          candidates.push_back({Bytes(body_view.begin(), body_view.end()), {}});
-          it = candidates.end() - 1;
+        // copied once per distinct content, not per copy, into a pooled
+        // candidate.
+        Slot& slot = slots_[at].src == kNobody ? claim(at, src, id) : slots_[at];
+        std::uint32_t c = slot.candidates;
+        while (c != kNone && !std::ranges::equal(pool_[c].body, body_view)) c = pool_[c].next;
+        if (c == kNone) {
+          c = new_candidate(body_view);
+          pool_[c].next = slot.candidates;
+          slot.candidates = c;
         }
-        it->voters.insert(env.from);
-        if (2 * it->voters.count() > k) {
-          accepted_.insert({src, id});
-          out.push_back(AppMsg{src, std::move(it->body)});
-          pending_.erase(MajorityKey{src, id});
+        pool_[c].voters.insert(env.from);
+        if (2 * pool_[c].voters.count() > k) {
+          // The winning bytes equal this forward's body, which lives for
+          // the round; the candidates go back to the pool.
+          slot.accepted = true;
+          while (slot.candidates != kNone) {
+            const std::uint32_t done = slot.candidates;
+            slot.candidates = pool_[done].next;
+            pool_[done].next = free_;
+            free_ = done;
+          }
+          out_.emplace_back(src, body_view);
         }
         continue;
       }
@@ -183,14 +232,14 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
         ++rejected_;  // stale: outside the 2 * Delta window (Lemma 10)
         continue;
       }
-      accepted_.insert({src, id});
-      out.push_back(AppMsg{src, Bytes(body_view.begin(), body_view.end())});
+      claim(at, src, id).accepted = true;
+      out_.emplace_back(src, body_view);
       continue;
     }
 
     ++rejected_;  // unknown frame tag
   }
-  return out;
+  return out_;
 }
 
 }  // namespace bsm::net

@@ -212,6 +212,43 @@ TEST(HubEdge, DuplicateChannelsAndUnknownMailboxesThrow) {
   EXPECT_THROW((void)hub.instance(99), std::logic_error);
 }
 
+TEST(HubEdge, BufferedMessagesOutliveTheirRound) {
+  // Stride 2, fully connected: party 0's step-0 broadcast is a direct frame
+  // that arrives in round 1 and is stepped in round 2. By then the engine
+  // has recycled the payload arena it arrived in, and party 0 — stepped
+  // first — has already stored its step-1 broadcast, of the same length,
+  // there. The hub must have kept a copy of the buffered message.
+  class Echo final : public Instance {
+   public:
+    void step(InstanceIo& io, std::uint32_t s, const std::vector<net::AppMsg>& inbox) override {
+      if (s == 1) {
+        for (const auto& msg : inbox) {
+          heard_.emplace_back(msg.from, Bytes(msg.body.begin(), msg.body.end()));
+        }
+      }
+      if (io.self() == 0 && s < 2) io.broadcast(Bytes(32, static_cast<std::uint8_t>(0xA0 + s)));
+      if (s == duration()) decide(std::nullopt);
+    }
+    [[nodiscard]] std::uint32_t duration() const override { return 2; }
+    std::vector<std::pair<PartyId, Bytes>> heard_;
+  };
+
+  net::Engine engine(net::Topology(net::TopologyKind::FullyConnected, 2), 1);
+  const std::vector<PartyId> parts{0, 1, 2, 3};
+  for (PartyId id : parts) {
+    engine.set_process(id, std::make_unique<Host>(net::RelayMode::Direct, 2, parts,
+                                                  std::make_unique<Echo>()));
+  }
+  engine.run_guarded(3);
+  for (PartyId id : parts) {
+    const auto& host = dynamic_cast<const Host&>(engine.process(id));
+    const auto& echo = dynamic_cast<const Echo&>(host.instance());
+    ASSERT_EQ(echo.heard_.size(), 1U) << "party " << id;
+    EXPECT_EQ(echo.heard_[0].first, 0U);
+    EXPECT_EQ(echo.heard_[0].second, Bytes(32, 0xA0)) << "party " << id;
+  }
+}
+
 TEST(HubEdge, RoundOfStepFollowsStride) {
   InstanceHub hub1(net::RelayMode::Direct, 1);
   EXPECT_EQ(hub1.round_of_step(0, 5), 5U);

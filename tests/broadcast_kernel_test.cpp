@@ -13,6 +13,7 @@
 //     implementation — the container swap is byte-invisible.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -55,20 +56,36 @@ using adversary::SplitBrain;
   return by_value;
 }
 
-[[nodiscard]] std::vector<net::AppMsg> random_inbox(Rng& rng, std::uint32_t n_parties) {
-  std::vector<net::AppMsg> inbox;
+/// An inbox that owns its message bytes: AppMsg bodies are views, so the
+/// bytes live in a deque (which never moves its elements) beside them.
+struct OwnedInbox {
+  void add(PartyId from, Bytes body) {
+    msgs.emplace_back(from, bytes.emplace_back(std::move(body)));
+  }
+  void add_kv(PartyId from, MsgKind kind, const Bytes& value) {
+    Writer w;
+    encode_kv(w, kind, value);
+    add(from, w.take());
+  }
+
+  std::deque<Bytes> bytes;
+  std::vector<net::AppMsg> msgs;
+};
+
+[[nodiscard]] OwnedInbox random_inbox(Rng& rng, std::uint32_t n_parties) {
+  OwnedInbox inbox;
   const std::uint32_t n_msgs = 1 + static_cast<std::uint32_t>(rng.below(4 * n_parties));
   for (std::uint32_t i = 0; i < n_msgs; ++i) {
     const PartyId from = static_cast<PartyId>(rng.below(n_parties));
     if (rng.chance(0.15)) {
       // Malformed body: both implementations must drop it.
-      inbox.push_back({from, rng.random_bytes(rng.below(6))});
+      inbox.add(from, rng.random_bytes(rng.below(6)));
       continue;
     }
     const auto kind = static_cast<MsgKind>(1 + rng.below(4));  // Value..Final
     // Few distinct values so buckets genuinely merge across senders.
     const Bytes value = rng.chance(0.3) ? Bytes{} : rng.random_bytes(1 + rng.below(3));
-    inbox.push_back({from, encode_kv(kind, value)});
+    inbox.add_kv(from, kind, value);
   }
   return inbox;
 }
@@ -80,9 +97,9 @@ TEST(TallyArena, MatchesReferenceTallyOnRandomInboxes) {
     const std::uint32_t n_parties = 3 + static_cast<std::uint32_t>(rng.below(70));
     const auto inbox = random_inbox(rng, n_parties);
     const auto kind = static_cast<MsgKind>(1 + rng.below(4));
-    const auto ref = reference_tally(inbox, kind);
+    const auto ref = reference_tally(inbox.msgs, kind);
 
-    arena.build(inbox, kind);
+    arena.build(inbox.msgs, kind);
     ASSERT_EQ(arena.size(), ref.size());
     auto it = ref.begin();
     for (const std::uint32_t idx : arena.ordered()) {
@@ -100,14 +117,14 @@ TEST(TallyArena, FirstMessagePerSenderWinsAndKindsDoNotInterfere) {
   // Sender 2's Value message counts; its second Value message does not;
   // its Propose message is invisible to the Value tally and counts in the
   // Propose tally (matching the reference semantics exactly).
-  std::vector<net::AppMsg> inbox;
-  inbox.push_back({2, encode_kv(MsgKind::Value, Bytes{1})});
-  inbox.push_back({2, encode_kv(MsgKind::Value, Bytes{2})});
-  inbox.push_back({2, encode_kv(MsgKind::Propose, Bytes{3})});
-  inbox.push_back({5, encode_kv(MsgKind::Value, Bytes{2})});
+  OwnedInbox inbox;
+  inbox.add_kv(2, MsgKind::Value, Bytes{1});
+  inbox.add_kv(2, MsgKind::Value, Bytes{2});
+  inbox.add_kv(2, MsgKind::Propose, Bytes{3});
+  inbox.add_kv(5, MsgKind::Value, Bytes{2});
 
   TallyArena arena;
-  arena.build(inbox, MsgKind::Value);
+  arena.build(inbox.msgs, MsgKind::Value);
   ASSERT_EQ(arena.size(), 2U);
   EXPECT_EQ(arena.bucket(arena.ordered()[0]).value, Bytes{1});
   EXPECT_TRUE(arena.bucket(arena.ordered()[0]).senders.contains(2));
@@ -115,7 +132,7 @@ TEST(TallyArena, FirstMessagePerSenderWinsAndKindsDoNotInterfere) {
   EXPECT_TRUE(arena.bucket(arena.ordered()[1]).senders.contains(5));
   EXPECT_FALSE(arena.bucket(arena.ordered()[1]).senders.contains(2));
 
-  arena.build(inbox, MsgKind::Propose);
+  arena.build(inbox.msgs, MsgKind::Propose);
   ASSERT_EQ(arena.size(), 1U);
   EXPECT_TRUE(arena.bucket(arena.ordered()[0]).senders.contains(2));
 }

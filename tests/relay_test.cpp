@@ -14,6 +14,13 @@
 namespace bsm::net {
 namespace {
 
+/// A delivered application message, kept past its round: AppMsg bodies
+/// view the round's payload arena, so a recorder copies the bytes.
+struct Delivered {
+  PartyId from;
+  Bytes body;
+};
+
 /// Owns a RelayRouter; performs scripted sends and records deliveries, and
 /// (being a router user) does forwarding duty for everyone else.
 class RelayUser final : public Process {
@@ -28,19 +35,21 @@ class RelayUser final : public Process {
       : router_(mode), script_(std::move(script)) {}
 
   void on_round(Context& ctx, Inbox inbox) override {
-    for (auto& msg : router_.route(ctx, inbox)) delivered_.push_back(std::move(msg));
+    for (const AppMsg& msg : router_.route(ctx, inbox)) {
+      delivered_.push_back({msg.from, Bytes(msg.body.begin(), msg.body.end())});
+    }
     for (const auto& s : script_) {
       if (s.round == ctx.round()) router_.send(ctx, s.to, s.body);
     }
   }
 
-  [[nodiscard]] const std::vector<AppMsg>& delivered() const { return delivered_; }
+  [[nodiscard]] const std::vector<Delivered>& delivered() const { return delivered_; }
   [[nodiscard]] const RelayRouter& router() const { return router_; }
 
  private:
   RelayRouter router_;
   std::vector<ScriptedSend> script_;
-  std::vector<AppMsg> delivered_;
+  std::vector<Delivered> delivered_;
 };
 
 /// Byzantine relay: behaves like an honest router user, except every
@@ -195,6 +204,28 @@ TEST(Relay, MajorityIsNotFooledByADigestCollision) {
   ASSERT_EQ(f.user(1).delivered().size(), 1U);
   EXPECT_EQ(f.user(1).delivered()[0].from, 0U);
   EXPECT_EQ(f.user(1).delivered()[0].body, a);
+}
+
+TEST(Relay, MajorityVotesSplitAcrossRoundsAcceptOnce) {
+  // k = 3: a majority needs two of the three relays. The honest relay's
+  // forward arrives in round 2, the delayed relay's in round 3, and the
+  // silent relay never votes, so the (src, id) stays pending across a
+  // round boundary. The first vote's candidate must own its bytes: the
+  // round-2 payload arena is recycled before the second vote compares
+  // against it.
+  const Bytes body{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0x90};
+  Fixture f(3, RelayMode::UnauthMajority);
+  f.script(0, {{0, 1, body}});
+  f.engine.set_corrupt(4, std::make_unique<DelayingRelay>(RelayMode::UnauthMajority, 1));
+  f.engine.set_corrupt(5, std::make_unique<SilentProcess>());
+  f.engine.run_guarded(3);
+  EXPECT_TRUE(f.user(1).delivered().empty()) << "one vote of three is no majority";
+  f.engine.run_guarded(1);
+  ASSERT_EQ(f.user(1).delivered().size(), 1U);
+  EXPECT_EQ(f.user(1).delivered()[0].from, 0U);
+  EXPECT_EQ(f.user(1).delivered()[0].body, body);
+  f.engine.run_guarded(4);
+  EXPECT_EQ(f.user(1).delivered().size(), 1U) << "accepted exactly once";
 }
 
 TEST(Relay, MajorityFailsWithoutHonestMajority) {

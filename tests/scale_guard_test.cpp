@@ -1,21 +1,23 @@
 // Memory-shape guards for the big-n fast path: a lazy-profile matching at
 // n = 10^5 must run in O(n) live bytes (no hidden n x k materialization),
 // an engine carrying sparse (ring) traffic must stay O(n), never O(n^2),
-// and a steady-state engine round allocates nothing. Enforced with a
-// counting global operator new/delete local to this test binary: every
-// plain allocation carries a 16-byte size header, and the hook tracks
-// live and peak heap bytes and the number of allocations. Aligned-new
-// allocations bypass the hook (none of the guarded paths use over-aligned
-// types); the probes measure *deltas*, so the harness's own baseline
-// allocations cancel out.
+// and a steady-state engine round, with or without an InstanceHub on top,
+// allocates nothing. Enforced with a counting global operator new/delete
+// local to this test binary: every plain allocation carries a 16-byte
+// size header, and the hook tracks live and peak heap bytes and the
+// number of allocations. Aligned-new allocations bypass the hook (none of
+// the guarded paths use over-aligned types); the probes measure *deltas*,
+// so the harness's own baseline allocations cancel out.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <set>
 #include <vector>
 
+#include "broadcast/instance.hpp"
 #include "matching/gale_shapley.hpp"
 #include "matching/stability.hpp"
 #include "matching/view.hpp"
@@ -144,8 +146,9 @@ TEST(ScaleGuard, SparseEngineChannelMemoryTracksActiveChannels) {
 TEST(ScaleGuard, SteadyStatePayloadPathAllocatesNothing) {
   // 16 parties, each broadcasting the same 48 bytes to all 16 every round.
   // Once the engine's envelope buffers and payload arenas have grown, a
-  // round stores each broadcast once and allocates nothing; a payload copy
-  // per envelope would cost 256 allocations a round.
+  // round stores the payload once across all senders (the arena interns
+  // it) and allocates nothing; a payload copy per envelope would cost 256
+  // allocations a round, and a copy per sender 16 stores.
   class Broadcaster final : public net::Process {
    public:
     void on_round(net::Context& ctx, net::Inbox) override {
@@ -160,22 +163,67 @@ TEST(ScaleGuard, SteadyStatePayloadPathAllocatesNothing) {
   const std::uint32_t n = engine.topology().n();
   ASSERT_EQ(n, 16U);
   for (PartyId id = 0; id < n; ++id) engine.set_process(id, std::make_unique<Broadcaster>());
-  std::vector<const std::uint8_t*> from_zero;
-  from_zero.reserve(4 * n);
-  engine.set_observer([&](const net::Envelope& env) {
-    if (env.from == 0) from_zero.push_back(env.payload.data());
-  });
+  std::vector<const std::uint8_t*> stored;
+  stored.reserve(4 * n * n);
+  engine.set_observer([&](const net::Envelope& env) { stored.push_back(env.payload.data()); });
   engine.run_guarded(3);  // warm-up: buffers and arenas reach their size
 
-  from_zero.clear();
+  stored.clear();
   const std::size_t before = g_calls.load(std::memory_order_relaxed);
   engine.run_guarded(1);
   EXPECT_EQ(g_calls.load(std::memory_order_relaxed) - before, 0U);
 
-  ASSERT_EQ(from_zero.size(), n);
-  for (const std::uint8_t* data : from_zero) {
-    EXPECT_EQ(data, from_zero.front()) << "party 0's broadcast is stored once";
-  }
+  ASSERT_EQ(stored.size(), n * n);
+  const std::set<const std::uint8_t*> copies(stored.begin(), stored.end());
+  EXPECT_EQ(copies.size(), 1U) << "the round's one distinct payload is stored once";
+}
+
+TEST(ScaleGuard, SteadyStateHubRoundAllocatesNothing) {
+  // A fully connected, stride-1 hub per party whose instance broadcasts a
+  // fixed value at every step. After warm-up a round allocates nothing:
+  // routed messages are views into the payload arena, step buffers and
+  // frame scratch keep their capacity, and nothing is kept past its round.
+  class FixedBroadcast final : public broadcast::Instance {
+   public:
+    void step(broadcast::InstanceIo& io, std::uint32_t,
+              const std::vector<net::AppMsg>& inbox) override {
+      heard_ += inbox.size();
+      io.broadcast(value_);
+    }
+    [[nodiscard]] std::uint32_t duration() const override { return 1000; }
+    std::size_t heard_ = 0;
+
+   private:
+    Bytes value_ = Bytes(40, 0x3c);
+  };
+  class HubHost final : public net::Process {
+   public:
+    explicit HubHost(std::vector<PartyId> parts) : hub_(net::RelayMode::Direct, 1) {
+      hub_.add_instance(0, 0, std::move(parts), std::make_unique<FixedBroadcast>());
+    }
+    void on_round(net::Context& ctx, net::Inbox inbox) override {
+      hub_.ingest(ctx, inbox);
+      hub_.step_due(ctx);
+    }
+    [[nodiscard]] std::size_t heard() const {
+      return dynamic_cast<const FixedBroadcast&>(hub_.instance(0)).heard_;
+    }
+
+   private:
+    broadcast::InstanceHub hub_;
+  };
+
+  net::Engine engine(net::Topology(net::TopologyKind::FullyConnected, 8), 1);
+  const std::uint32_t n = engine.topology().n();
+  std::vector<PartyId> parts(n);
+  for (PartyId id = 0; id < n; ++id) parts[id] = id;
+  for (PartyId id = 0; id < n; ++id) engine.set_process(id, std::make_unique<HubHost>(parts));
+  engine.run_guarded(3);  // warm-up
+
+  const std::size_t before = g_calls.load(std::memory_order_relaxed);
+  engine.run_guarded(1);
+  EXPECT_EQ(g_calls.load(std::memory_order_relaxed) - before, 0U);
+  EXPECT_EQ(dynamic_cast<const HubHost&>(engine.process(0)).heard(), std::size_t{3} * n);
 }
 
 }  // namespace
