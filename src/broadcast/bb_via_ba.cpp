@@ -16,10 +16,7 @@ BBviaBA::BBviaBA(PartyId sender, Bytes input_if_sender, Bytes default_value,
 
 void BBviaBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::AppMsg>& inbox) {
   if (s == 0) {
-    if (io.self() == sender_) {
-      Writer w;
-      io.broadcast(encode_kv(w, MsgKind::Input, input_));
-    }
+    if (io.self() == sender_) io.broadcast(encode_kv(io.scratch(), MsgKind::Input, input_));
     return;
   }
 

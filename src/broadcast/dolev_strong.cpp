@@ -9,42 +9,72 @@ namespace bsm::broadcast {
 
 namespace {
 
-struct ChainMsg {
-  Bytes value;
-  std::vector<PartyId> signers;
-  std::vector<crypto::Signature> sigs;
+/// A Chain frame decoded in place: u8 kind | bytes value | u32 count |
+/// count x (u32 signer, Signature). The value and the entries stay views
+/// into the frame, valid while the message body is.
+struct ChainView {
+  static constexpr std::size_t kEntry = 4 + 4 + 8;  ///< signer + Signature{signer, tag}
+
+  ByteView value;
+  ByteView entries;
+  std::uint32_t count = 0;
+
+  [[nodiscard]] crypto::Signature sig(std::size_t j) const {
+    Reader r(entries.subspan(j * kEntry + 4, kEntry - 4));
+    return crypto::Signature::decode(r);
+  }
 };
 
-[[nodiscard]] Bytes encode_chain(const Bytes& value, const std::vector<PartyId>& signers,
-                                 const std::vector<crypto::Signature>& sigs) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgKind::Chain));
-  w.bytes(value);
-  w.u32(static_cast<std::uint32_t>(signers.size()));
-  for (std::size_t i = 0; i < signers.size(); ++i) {
-    w.u32(signers[i]);
-    sigs[i].encode(w);
-  }
-  return w.take();
-}
-
-/// decode_chain of the seed implementation, into reused storage: accepts
-/// and rejects exactly the same inputs, allocates only on capacity growth.
-[[nodiscard]] bool decode_chain_into(ByteView body, ChainMsg& m) {
+/// decode_chain of the seed implementation, in place: accepts and rejects
+/// exactly the same inputs (every entry present, no trailing byte). The
+/// signer ids are copied into `signers`, so the verify cache and the
+/// signed-message encoder read them as one span.
+[[nodiscard]] bool decode_chain(ByteView body, ChainView& chain, std::vector<PartyId>& signers) {
   Reader r(body);
   if (r.u8() != static_cast<std::uint8_t>(MsgKind::Chain)) return false;
-  const auto value = r.bytes_view();
+  chain.value = r.bytes_view();
   const std::uint32_t len = r.u32();
   if (!r.ok() || len > 4096) return false;
-  m.signers.clear();
-  m.sigs.clear();
+  const std::size_t header = 1 + 4 + chain.value.size() + 4;
+  if (body.size() - header != std::size_t{len} * ChainView::kEntry) return false;
+  chain.entries = body.subspan(header);
+  chain.count = len;
+  signers.clear();
+  Reader entries(chain.entries);
   for (std::uint32_t i = 0; i < len; ++i) {
-    m.signers.push_back(r.u32());
-    m.sigs.push_back(crypto::Signature::decode(r));
+    signers.push_back(entries.u32());
+    (void)crypto::Signature::decode(entries);  // read in place by ChainView::sig
   }
-  if (!r.done()) return false;
-  m.value.assign(value.begin(), value.end());
   return true;
+}
+
+/// Encode into `w` the Chain frame over `value` whose entries are
+/// `entries` (received, copied as they are) followed by `signer`'s
+/// signature, `count` entries in all.
+[[nodiscard]] const Bytes& encode_chain(Writer& w, ByteView value, std::uint32_t count,
+                                        ByteView entries, PartyId signer,
+                                        const crypto::Signature& sig) {
+  w.truncate(0);
+  w.u8(static_cast<std::uint8_t>(MsgKind::Chain));
+  w.bytes(value);
+  w.u32(count);
+  w.raw(entries);
+  w.u32(signer);
+  sig.encode(w);
+  return w.data();
+}
+
+/// The start of every signed message: "dolev-strong" | channel | value.
+void encode_prefix(Writer& w, std::uint32_t channel, ByteView value) {
+  w.str("dolev-strong");
+  w.u32(channel);
+  w.bytes(value);
+}
+
+/// The rest: the prior signers, as Writer::u32_vec would encode them.
+void encode_signers(Writer& w, std::span<const PartyId> signers) {
+  w.u32(static_cast<std::uint32_t>(signers.size()));
+  for (const PartyId p : signers) w.u32(p);
 }
 
 }  // namespace
@@ -56,105 +86,107 @@ DolevStrong::DolevStrong(PartyId sender, std::uint32_t t, Bytes input_if_sender,
       input_(std::move(input_if_sender)),
       use_verify_cache_(use_verify_cache) {}
 
-Bytes DolevStrong::chain_digest(std::uint32_t channel, const Bytes& value,
-                                const std::vector<PartyId>& prior_signers) {
-  Writer w;
-  w.str("dolev-strong");
-  w.u32(channel);
-  w.bytes(value);
-  w.u32_vec(prior_signers);
-  return w.take();
+const Bytes& DolevStrong::chain_digest(Writer& w, std::uint32_t channel, ByteView value,
+                                       std::span<const PartyId> prior_signers) {
+  w.truncate(0);
+  encode_prefix(w, channel, value);
+  encode_signers(w, prior_signers);
+  return w.data();
 }
 
-std::uint32_t DolevStrong::pool_index(std::uint32_t channel, const Bytes& value) {
+std::uint32_t DolevStrong::pool_index(ByteView value) {
   const std::uint64_t digest = fnv1a64(value);
   for (std::uint32_t i = 0; i < pool_.size(); ++i) {
-    if (pool_[i].digest == digest && pool_[i].value == value) return i;
+    if (pool_[i].digest == digest && std::ranges::equal(pool_[i].value, value)) return i;
   }
   if (pool_.size() >= kMaxPooledValues) return kNotPooled;  // spam: don't retain
-  Writer w;
-  w.str("dolev-strong");
-  w.u32(channel);
-  w.bytes(value);
-  pool_.push_back(PooledValue{digest, value, w.take()});
+  if (pool_.empty()) pool_.reserve(kPoolFirstEntries);
+  pool_.push_back(PooledValue{digest, Bytes(value.begin(), value.end())});
   return static_cast<std::uint32_t>(pool_.size() - 1);
 }
 
-const Bytes& DolevStrong::signed_msg(std::uint32_t value_idx,
-                                     const std::vector<PartyId>& signers, std::uint32_t j) {
-  // Byte-identical to chain_digest(channel, value, signers[0..j)): the
-  // pooled prefix already holds "dolev-strong" | channel | value, and
-  // u32_vec is a count followed by the elements. The scratch keeps the
-  // prefix of the last value in place and only rewrites the extension.
+void DolevStrong::extract(std::uint32_t value_idx, ByteView value) {
+  if (value_idx == kNotPooled) {
+    value_idx = static_cast<std::uint32_t>(pool_.size());
+    pool_.push_back(PooledValue{fnv1a64(value), Bytes(value.begin(), value.end())});
+  }
+  extracted_[extracted_count_++] = value_idx;
+}
+
+const Bytes& DolevStrong::signed_msg(std::uint32_t channel, std::uint32_t value_idx,
+                                     std::span<const PartyId> signers, std::uint32_t j) {
+  // Byte-identical to chain_digest(channel, value, signers[0..j)). The
+  // buffer keeps the prefix of the last value in place and only rewrites
+  // the extension.
   if (scratch_value_ != value_idx) {
     msg_scratch_.truncate(0);
-    msg_scratch_.raw(pool_[value_idx].prefix);
+    encode_prefix(msg_scratch_, channel, pool_[value_idx].value);
     scratch_prefix_len_ = msg_scratch_.size();
     scratch_value_ = value_idx;
   }
   msg_scratch_.truncate(scratch_prefix_len_);
-  msg_scratch_.u32(j);
-  for (std::uint32_t i = 0; i < j; ++i) msg_scratch_.u32(signers[i]);
+  encode_signers(msg_scratch_, signers.first(j));
   return msg_scratch_.data();
 }
 
 void DolevStrong::step(InstanceIo& io, std::uint32_t s, const std::vector<net::AppMsg>& inbox) {
+  Writer& scratch = io.scratch();
   if (s == 0) {
     if (io.self() == sender_) {
-      extracted_.push_back(input_);
-      const auto sig = io.signer().sign(chain_digest(io.channel(), input_, {}));
-      io.broadcast(encode_chain(input_, {sender_}, {sig}));
+      extract(pool_index(input_), input_);
+      const auto sig = io.signer().sign(chain_digest(scratch, io.channel(), input_, {}));
+      io.broadcast(encode_chain(scratch, input_, 1, {}, sender_, sig));
     }
     return;
   }
 
-  if (participants_.empty()) {
-    for (PartyId p : io.participants()) participants_.insert(p);
-  }
-  const auto already_extracted = [&](const Bytes& value) {
-    return std::any_of(extracted_.begin(), extracted_.end(),
-                       [&](const Bytes& v) { return v == value; });
+  const core::PartySet& participants = io.participant_mask();
+  const auto already_extracted = [&](ByteView value) {
+    return std::any_of(extracted_, extracted_ + extracted_count_, [&](std::uint32_t idx) {
+      return std::ranges::equal(pool_[idx].value, value);
+    });
   };
 
-  ChainMsg chain;  // decode storage reused across the inbox
+  ChainView chain;
+  std::vector<PartyId>& signers = io.id_scratch();
   for (const auto& msg : inbox) {
-    if (extracted_.size() >= 2) break;  // equivocation already proven
-    if (!decode_chain_into(msg.body, chain)) continue;
+    if (extracted_count_ >= 2) break;  // equivocation already proven
+    if (!decode_chain(msg.body, chain, signers)) continue;
     // A chain is valid at step s iff it has >= s distinct participant
     // signatures starting with the sender's, each over the right digest.
-    if (chain.signers.size() < s) continue;
-    if (chain.signers.front() != sender_) continue;
+    if (chain.count < s) continue;
+    if (signers.front() != sender_) continue;
     // A chain for an already-extracted value cannot change any state:
     // re-verifying it was pure waste in the seed implementation, so the
     // check is hoisted above the cryptography.
     if (already_extracted(chain.value)) continue;
 
-    const std::uint32_t value_idx = pool_index(io.channel(), chain.value);
+    const std::uint32_t value_idx = pool_index(chain.value);
     const bool pooled = value_idx != kNotPooled;
     std::uint64_t d = pooled
                           ? VerifiedChainCache::chain_seed(io.channel(), pool_[value_idx].digest)
                           : 0;
     distinct_.clear();
     bool valid = true;
-    for (std::size_t j = 0; j < chain.signers.size() && valid; ++j) {
-      const PartyId signer = chain.signers[j];
-      if (!participants_.contains(signer) || distinct_.contains(signer)) {
+    for (std::uint32_t j = 0; j < chain.count && valid; ++j) {
+      const PartyId signer = signers[j];
+      if (!participants.contains(signer) || distinct_.contains(signer)) {
         valid = false;
         break;
       }
       distinct_.insert(signer);
-      const auto& sig = chain.sigs[j];
+      const crypto::Signature sig = chain.sig(j);
       if (!pooled) {
         // Pool overflow (distinct-value spam): the seed's transient,
         // uncached path — same verification, nothing retained.
         ++verifies_;
-        const std::vector<PartyId> prior(chain.signers.begin(),
-                                         chain.signers.begin() + static_cast<std::ptrdiff_t>(j));
-        valid = io.pki().verify(signer, chain_digest(io.channel(), chain.value, prior), sig);
+        valid = io.pki().verify(
+            signer, chain_digest(scratch, io.channel(), chain.value, std::span(signers).first(j)),
+            sig);
         continue;
       }
       d = VerifiedChainCache::extend(d, signer);
-      const std::span<const PartyId> prefix(chain.signers.data(), j + 1);
+      const std::span<const PartyId> prefix(signers.data(), j + 1);
       if (use_verify_cache_) {
         const std::uint64_t key = VerifiedChainCache::key_digest(d, sig);
         if (const bool* hit = cache_.find(key, value_idx, prefix, sig)) {
@@ -162,44 +194,32 @@ void DolevStrong::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
           valid = *hit;
         } else {
           ++verifies_;
-          valid = io.pki().verify(signer,
-                                  signed_msg(value_idx, chain.signers,
-                                             static_cast<std::uint32_t>(j)),
-                                  sig);
+          valid = io.pki().verify(signer, signed_msg(io.channel(), value_idx, signers, j), sig);
           cache_.insert(key, value_idx, prefix, sig, valid);
         }
       } else {
         ++verifies_;
-        valid = io.pki().verify(
-            signer, signed_msg(value_idx, chain.signers, static_cast<std::uint32_t>(j)), sig);
+        valid = io.pki().verify(signer, signed_msg(io.channel(), value_idx, signers, j), sig);
       }
     }
     if (!valid) continue;
 
-    extracted_.push_back(chain.value);
+    extract(value_idx, chain.value);
     if (s <= t_ && !distinct_.contains(io.self())) {
-      // Relay = the received frame with the count bumped and our
-      // countersignature appended; byte-identical to re-encoding the
-      // extended chain, without touching the value or existing entries.
-      // The body views this round's delivery, so it is copied into a
-      // buffer the instance reuses.
+      // Relay = the received chain with the count bumped and our
+      // countersignature appended: byte-identical to re-encoding the
+      // extended chain, with the existing entries copied as they are.
       const auto sig = io.signer().sign(
-          pooled ? signed_msg(value_idx, chain.signers,
-                              static_cast<std::uint32_t>(chain.signers.size()))
-                 : chain_digest(io.channel(), chain.value, chain.signers));
-      relay_.assign(msg.body.begin(), msg.body.end());
-      const std::size_t count_off = 1 + 4 + chain.value.size();
-      store_u32_le(relay_, count_off, static_cast<std::uint32_t>(chain.signers.size()) + 1);
-      append_u32_le(relay_, io.self());
-      append_u32_le(relay_, sig.signer);
-      append_u64_le(relay_, sig.tag);
-      io.broadcast(relay_);
+          pooled ? signed_msg(io.channel(), value_idx, signers, chain.count)
+                 : chain_digest(scratch, io.channel(), chain.value, signers));
+      io.broadcast(encode_chain(scratch, chain.value, chain.count + 1, chain.entries, io.self(),
+                                sig));
     }
   }
 
   if (s == duration()) {
-    if (extracted_.size() == 1) {
-      decide(extracted_.front());
+    if (extracted_count_ == 1) {
+      decide(std::move(pool_[extracted_[0]].value));  // the instance never steps again
     } else {
       decide(std::nullopt);  // no value, or a provably equivocating sender
     }

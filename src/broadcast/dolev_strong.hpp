@@ -10,17 +10,21 @@
 // Signatures bind (channel, value, prefix of signers), so chains cannot be
 // replayed across concurrently running broadcast instances.
 //
-// Hot-path structure: chains for an already-extracted value are skipped
-// before any cryptography (re-verifying them had no observable effect);
-// each surviving signature is verified at most once per instance through
-// the VerifiedChainCache; the signed message bytes are built in one scratch
-// buffer that re-extends a cached (channel, value) prefix instead of
-// re-encoding it per position; and relayed chains are produced by patching
-// the received frame (bump the count, append one signature) rather than
-// re-encoding the whole chain. All of it is transcript-preserving: the same
-// messages are sent, byte for byte, as the seed implementation.
+// Hot-path structure: chains are decoded in place (the value and the
+// signature entries stay views into the frame; only the signer ids are
+// copied, into the id scratch the hub lends for the step); chains for an
+// already-extracted value are skipped before any cryptography
+// (re-verifying them had no observable effect); each surviving signature
+// is verified at most once per instance through the VerifiedChainCache;
+// the signed message bytes are built in one buffer that re-extends a kept
+// (channel, value) prefix instead of re-encoding it per position; and a
+// relayed chain is the received one with the count bumped and one
+// signature appended, encoded into the hub's step scratch. All of it is
+// transcript-preserving: the same messages are sent, byte for byte, as the
+// seed implementation.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "broadcast/instance.hpp"
@@ -48,9 +52,10 @@ class DolevStrong final : public Instance {
   [[nodiscard]] std::uint64_t cache_hits() const noexcept { return cache_hits_; }
 
  private:
-  /// Digest signed by the j-th chain member: the value plus all prior signers.
-  [[nodiscard]] static Bytes chain_digest(std::uint32_t channel, const Bytes& value,
-                                          const std::vector<PartyId>& prior_signers);
+  /// Digest signed by the j-th chain member — the value plus all prior
+  /// signers — encoded into `w`, replacing its contents.
+  [[nodiscard]] static const Bytes& chain_digest(Writer& w, std::uint32_t channel, ByteView value,
+                                                 std::span<const PartyId> prior_signers);
 
   /// Distinct values pooled (and thus verify-cached) per instance. Honest
   /// executions see at most two; the cap bounds the memory and the linear
@@ -60,37 +65,43 @@ class DolevStrong final : public Instance {
   static constexpr std::uint32_t kNotPooled = UINT32_MAX;
 
   /// Canonical index of `value` in the instance's value pool (digest lookup
-  /// disambiguated by full-bytes equality); creates the entry — and its
-  /// encoded (channel, value) scratch prefix — on first sight. kNotPooled
-  /// when the pool is full and the value is not already in it.
-  [[nodiscard]] std::uint32_t pool_index(std::uint32_t channel, const Bytes& value);
+  /// disambiguated by full-bytes equality); copies the value in on first
+  /// sight. kNotPooled when the pool is full and the value is not already
+  /// in it.
+  [[nodiscard]] std::uint32_t pool_index(ByteView value);
 
-  /// Scratch-encode the message signed at position j of a chain over the
-  /// pooled value: the cached prefix re-extended in place (Writer::
-  /// truncate) with u32_vec(signers[0..j)). Returns the buffer.
-  [[nodiscard]] const Bytes& signed_msg(std::uint32_t value_idx,
-                                        const std::vector<PartyId>& signers, std::uint32_t j);
+  /// Encode the message signed at position j of a chain over the pooled
+  /// value: the kept (channel, value) prefix re-extended in place
+  /// (Writer::truncate) with u32_vec(signers[0..j)). Returns the buffer.
+  [[nodiscard]] const Bytes& signed_msg(std::uint32_t channel, std::uint32_t value_idx,
+                                        std::span<const PartyId> signers, std::uint32_t j);
+
+  /// Record an accepted value by its pool index. A value spam kept out of
+  /// the full pool is pooled past the cap: at most two are ever accepted.
+  void extract(std::uint32_t value_idx, ByteView value);
 
   PartyId sender_;
   std::uint32_t t_;
   Bytes input_;
   bool use_verify_cache_;
-  std::vector<Bytes> extracted_;  ///< accepted values; capped at 2 (equivocation proof)
+  /// Accepted values, as pool indices; capped at 2 (equivocation proof).
+  std::uint32_t extracted_[2] = {};
+  std::uint32_t extracted_count_ = 0;
 
   struct PooledValue {
     std::uint64_t digest = 0;
     Bytes value;
-    Bytes prefix;  ///< encoded "dolev-strong" | channel | value
   };
+  /// Values an honest run pools: the sender's, plus one more when it
+  /// equivocates.
+  static constexpr std::size_t kPoolFirstEntries = 2;
   std::vector<PooledValue> pool_;
 
   VerifiedChainCache cache_;
-  core::PartySet participants_;  ///< bitset of io.participants(), built on first use
-  core::PartySet distinct_;      ///< per-message scratch
-  Writer msg_scratch_;           ///< signed-message encode buffer (prefix + extension)
+  core::PartySet distinct_;  ///< per-message scratch
+  Writer msg_scratch_;       ///< signed-message buffer: a value's prefix + extension
   std::uint32_t scratch_value_ = kNotPooled;  ///< value whose prefix msg_scratch_ holds
   std::size_t scratch_prefix_len_ = 0;
-  Bytes relay_;  ///< relayed-chain frame buffer
   std::uint64_t verifies_ = 0;
   std::uint64_t cache_hits_ = 0;
 };

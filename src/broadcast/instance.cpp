@@ -6,8 +6,13 @@
 namespace bsm::broadcast {
 
 InstanceIo::InstanceIo(InstanceHub& hub, net::Context& ctx, std::uint32_t channel,
-                       const std::vector<PartyId>& participants)
-    : hub_(&hub), ctx_(&ctx), channel_(channel), participants_(&participants) {}
+                       const std::vector<PartyId>& participants,
+                       const core::PartySet& participant_mask)
+    : hub_(&hub),
+      ctx_(&ctx),
+      channel_(channel),
+      participants_(&participants),
+      participant_mask_(&participant_mask) {}
 
 void InstanceIo::send(PartyId to, ByteView inner) {
   hub_->send_on_channel(*ctx_, channel_, to, inner);
@@ -20,6 +25,8 @@ void InstanceIo::broadcast(ByteView inner) {
 PartyId InstanceIo::self() const { return ctx_->self(); }
 const crypto::Signer& InstanceIo::signer() const { return ctx_->signer(); }
 const crypto::Pki& InstanceIo::pki() const { return ctx_->pki(); }
+Writer& InstanceIo::scratch() const { return hub_->step_scratch_; }
+std::vector<PartyId>& InstanceIo::id_scratch() const { return hub_->step_ids_; }
 
 InstanceHub::InstanceHub(net::RelayMode mode, std::uint32_t stride)
     : router_(mode), stride_(stride) {
@@ -27,19 +34,28 @@ InstanceHub::InstanceHub(net::RelayMode mode, std::uint32_t stride)
 }
 
 void InstanceHub::add_instance(std::uint32_t channel, Round base,
-                               std::vector<PartyId> participants,
+                               const std::vector<PartyId>& participants,
                                std::unique_ptr<Instance> instance) {
   require(instance != nullptr, "InstanceHub::add_instance: null instance");
   require(entry_at(channel) == nullptr &&
               (channel >= mailboxes_.size() || mailboxes_[channel] == nullptr),
           "InstanceHub::add_instance: duplicate channel");
+  // A hub sees one or two distinct lists (a BB per sender over everyone,
+  // plus a side's agreement), so a linear search finds the shared copy.
+  const auto list = std::find_if(participants_.begin(), participants_.end(),
+                                 [&](const Participants& p) { return p.ids == participants; });
+  const auto index = static_cast<std::uint32_t>(list - participants_.begin());
+  if (list == participants_.end()) {
+    Participants& added = participants_.emplace_back();
+    added.ids = participants;
+    for (PartyId p : participants) added.mask.insert(p);
+  }
   if (channel >= entries_.size()) entries_.resize(channel + 1);
-  auto entry = std::make_unique<Entry>();
-  entry->base = base;
-  entry->participants = std::move(participants);
-  for (PartyId p : entry->participants) entry->participant_mask.insert(p);
-  entry->instance = std::move(instance);
-  entries_[channel] = std::move(entry);
+  Entry& entry = entries_[channel];
+  entry.base = base;
+  entry.participants = index;
+  entry.instance = std::move(instance);
+  entry.buffer.reserve(participants.size());  // one message per peer per step
 }
 
 void InstanceHub::add_mailbox(std::uint32_t channel) {
@@ -100,7 +116,7 @@ void InstanceHub::ingest(net::Context& ctx, net::Inbox inbox) {
 
     if (Entry* entry = entry_at(channel); entry != nullptr) {
       // Only participants may speak on an instance's channel.
-      if (!entry->participant_mask.contains(msg.from)) continue;
+      if (!participants_[entry->participants].mask.contains(msg.from)) continue;
       if (steps_at(entry->base, now)) {
         entry->buffer.emplace_back(msg.from, inner);  // stepped this round
         continue;
@@ -124,23 +140,24 @@ void InstanceHub::ingest(net::Context& ctx, net::Inbox inbox) {
 void InstanceHub::step_due(net::Context& ctx) {
   const Round now = ctx.round();
   for (std::uint32_t channel = 0; channel < entries_.size(); ++channel) {
-    Entry* entry = entries_[channel].get();
-    if (entry == nullptr) continue;
-    if (!steps_at(entry->base, now)) continue;
-    const std::uint32_t s = (now - entry->base) / stride_;
-    if (!entry->instance->done() && s <= entry->instance->duration()) {
-      InstanceIo io(*this, ctx, channel, entry->participants);
-      entry->instance->step(io, s, entry->buffer);
+    Entry& entry = entries_[channel];
+    if (entry.instance == nullptr) continue;
+    if (!steps_at(entry.base, now)) continue;
+    const std::uint32_t s = (now - entry.base) / stride_;
+    if (!entry.instance->done() && s <= entry.instance->duration()) {
+      const Participants& parts = participants_[entry.participants];
+      InstanceIo io(*this, ctx, channel, parts.ids, parts.mask);
+      entry.instance->step(io, s, entry.buffer);
     }
-    for (std::uint8_t i = 0; i < 2; ++i) kept_holds_[i] -= (entry->kept >> i) & 1U;
-    entry->kept = 0;
-    entry->buffer.clear();  // keeps its capacity
+    for (std::uint8_t i = 0; i < 2; ++i) kept_holds_[i] -= (entry.kept >> i) & 1U;
+    entry.kept = 0;
+    entry.buffer.clear();  // keeps its capacity
   }
 }
 
 bool InstanceHub::all_done() const {
-  return std::all_of(entries_.begin(), entries_.end(), [](const auto& entry) {
-    return entry == nullptr || entry->instance->done();
+  return std::all_of(entries_.begin(), entries_.end(), [](const Entry& entry) {
+    return entry.instance == nullptr || entry.instance->done();
   });
 }
 

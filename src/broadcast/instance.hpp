@@ -22,6 +22,13 @@
 // holds its messages in its own arena until they are taken. Frames are
 // encoded into a scratch buffer the hub reuses, and step buffers keep
 // their capacity, so a steady-state round allocates nothing.
+//
+// What instances share lives in the hub, once per party: each distinct
+// participant list (with its bitset) is stored once and every entry
+// refers to it, and the step scratch (an encode buffer and an id buffer)
+// is lent to each instance through InstanceIo for one step() call. A run
+// of n instances per party therefore grows these buffers once per party,
+// not once per instance.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +47,11 @@ namespace bsm::broadcast {
 
 class InstanceHub;
 
-/// Per-step services offered to an instance.
+/// Per-step services offered to an instance, valid for one step() call.
 class InstanceIo {
  public:
   InstanceIo(InstanceHub& hub, net::Context& ctx, std::uint32_t channel,
-             const std::vector<PartyId>& participants);
+             const std::vector<PartyId>& participants, const core::PartySet& participant_mask);
 
   /// Send to one participant (virtual channels transparently relayed).
   void send(PartyId to, ByteView inner);
@@ -53,15 +60,25 @@ class InstanceIo {
 
   [[nodiscard]] PartyId self() const;
   [[nodiscard]] const std::vector<PartyId>& participants() const { return *participants_; }
+  /// participants() as a bitset (the hub's shared copy).
+  [[nodiscard]] const core::PartySet& participant_mask() const { return *participant_mask_; }
   [[nodiscard]] std::uint32_t channel() const noexcept { return channel_; }
   [[nodiscard]] const crypto::Signer& signer() const;
   [[nodiscard]] const crypto::Pki& pki() const;
+
+  /// Scratch the hub lends for this step() call only, shared by every
+  /// instance it steps: an encode buffer and an id buffer. Contents are
+  /// unspecified on entry and dead once step() returns, so an instance
+  /// keeps nothing in them across steps (and copies what it keeps).
+  [[nodiscard]] Writer& scratch() const;
+  [[nodiscard]] std::vector<PartyId>& id_scratch() const;
 
  private:
   InstanceHub* hub_;
   net::Context* ctx_;
   std::uint32_t channel_;
   const std::vector<PartyId>* participants_;
+  const core::PartySet* participant_mask_;
 };
 
 /// A protocol-step state machine with a fixed, publicly known duration.
@@ -98,8 +115,9 @@ class InstanceHub {
   InstanceHub(net::RelayMode mode, std::uint32_t stride);
 
   /// Register an instance whose step 0 runs at engine round `base`. Only
-  /// messages from `participants` are delivered to it.
-  void add_instance(std::uint32_t channel, Round base, std::vector<PartyId> participants,
+  /// messages from `participants` are delivered to it. Instances with
+  /// equal participant lists share the hub's one copy.
+  void add_instance(std::uint32_t channel, Round base, const std::vector<PartyId>& participants,
                     std::unique_ptr<Instance> instance);
 
   /// Register a raw mailbox (control traffic outside any instance).
@@ -138,10 +156,15 @@ class InstanceHub {
   /// Encode the channel frame into frame_.
   [[nodiscard]] ByteView frame(std::uint32_t channel, ByteView inner);
 
+  /// One distinct participant list, shared by every entry that names it.
+  struct Participants {
+    std::vector<PartyId> ids;
+    core::PartySet mask;  ///< same set, O(1) ingest filtering
+  };
+  /// A channel's instance; a null `instance` marks an unused channel.
   struct Entry {
     Round base = 0;
-    std::vector<PartyId> participants;
-    core::PartySet participant_mask;  ///< same set, O(1) ingest filtering
+    std::uint32_t participants = 0;  ///< index into participants_
     std::unique_ptr<Instance> instance;
     std::vector<net::AppMsg> buffer;  ///< messages for the next step
     std::uint8_t kept = 0;            ///< bit i set: buffer holds bytes in kept_[i]
@@ -158,10 +181,12 @@ class InstanceHub {
   }
 
   [[nodiscard]] Entry* entry_at(std::uint32_t channel) noexcept {
-    return channel < entries_.size() ? entries_[channel].get() : nullptr;
+    return channel < entries_.size() && entries_[channel].instance != nullptr ? &entries_[channel]
+                                                                              : nullptr;
   }
   [[nodiscard]] const Entry* entry_at(std::uint32_t channel) const noexcept {
-    return channel < entries_.size() ? entries_[channel].get() : nullptr;
+    return channel < entries_.size() && entries_[channel].instance != nullptr ? &entries_[channel]
+                                                                              : nullptr;
   }
 
   net::RelayRouter router_;
@@ -171,8 +196,9 @@ class InstanceHub {
   // the per-message map lookups of the node-based hub were a measurable
   // slice of the ingest hot path. Iteration by ascending index preserves
   // the old std::map stepping order exactly.
-  std::vector<std::unique_ptr<Entry>> entries_;
+  std::vector<Entry> entries_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::vector<Participants> participants_;
   // Step-buffer messages kept past their round. New copies go into
   // kept_[fill_]; the other arena is reset and takes over filling at the
   // first ingest() where no buffer holds bytes in it. In a stride-2 hub
@@ -181,6 +207,9 @@ class InstanceHub {
   std::uint32_t kept_holds_[2] = {0, 0};  ///< entries with bytes in each arena
   std::uint8_t fill_ = 0;
   Writer frame_;  ///< outgoing channel frames
+  // Step scratch lent through InstanceIo (see InstanceIo::scratch).
+  Writer step_scratch_;
+  std::vector<PartyId> step_ids_;
 };
 
 }  // namespace bsm::broadcast

@@ -14,8 +14,7 @@ void OmissionBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::Ap
       // Inner Pi_King just decided; echo its output to everyone.
       require(inner_.done() && inner_.output().has_value(),
               "OmissionBA: inner phase-king must decide a value");
-      Writer w;
-      io.broadcast(encode_kv(w, MsgKind::Final, *inner_.output()));
+      io.broadcast(encode_kv(io.scratch(), MsgKind::Final, *inner_.output()));
     }
     return;
   }

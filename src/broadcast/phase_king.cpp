@@ -35,7 +35,7 @@ void PhaseKingBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
       decide(v_);
       return;
     }
-    io.broadcast(encode_kv(out_, MsgKind::Value, v_));
+    io.broadcast(encode_kv(io.scratch(), MsgKind::Value, v_));
     return;
   }
 
@@ -46,7 +46,7 @@ void PhaseKingBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
     for (const std::uint32_t idx : tally_.ordered()) {
       const auto& bucket = tally_.bucket(idx);
       if (quorums_->complement_corruptible(bucket.senders)) {
-        io.broadcast(encode_kv(out_, MsgKind::Propose, bucket.value));
+        io.broadcast(encode_kv(io.scratch(), MsgKind::Propose, bucket.value));
         break;
       }
     }
@@ -66,7 +66,7 @@ void PhaseKingBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
     }
   }
   if (io.self() == king_of(io.participants(), s / 3)) {
-    io.broadcast(encode_kv(out_, MsgKind::King, v_));
+    io.broadcast(encode_kv(io.scratch(), MsgKind::King, v_));
   }
 }
 

@@ -38,7 +38,6 @@ class PhaseKingBA final : public Instance {
   bool strong_ = false;
   std::shared_ptr<const Quorums> quorums_;
   TallyArena tally_;  ///< per-instance scratch, reused every sub-round
-  Writer out_;        ///< outgoing message scratch, reused every step
 };
 
 }  // namespace bsm::broadcast

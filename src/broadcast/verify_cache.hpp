@@ -8,6 +8,9 @@
 // keys each (value, signer-prefix, signature) triple by a running 64-bit
 // digest so each signature is verified at most once per instance.
 //
+// Every entry's signer prefix lives in one flat id array (an offset and a
+// length per entry), so an entry costs no allocation of its own.
+//
 // Collision discipline (same as core::OracleCache): the digest picks the
 // bucket, the full key decides. An entry stores the canonical value index,
 // the exact signer prefix, and the exact signature; a digest collision
@@ -61,8 +64,8 @@ class VerifiedChainCache {
          i = (i + 1) & mask) {
       const Entry& e = entries_[slots_[i] - 1];
       if (e.digest == digest && e.value_idx == value_idx && e.sig == sig &&
-          e.prefix.size() == prefix.size() &&
-          std::equal(prefix.begin(), prefix.end(), e.prefix.begin())) {
+          e.prefix_len == prefix.size() &&
+          std::equal(prefix.begin(), prefix.end(), prefixes_.begin() + e.prefix_off)) {
         return &e.ok;
       }
     }
@@ -78,8 +81,14 @@ class VerifiedChainCache {
   void insert(std::uint64_t digest, std::uint32_t value_idx, std::span<const PartyId> prefix,
               const crypto::Signature& sig, bool ok) {
     if (entries_.size() >= kMaxEntries) return;
+    if (entries_.empty()) {
+      entries_.reserve(kFirstEntries);
+      prefixes_.reserve(kFirstEntries * 4);
+    }
     if (slots_.size() < 2 * (entries_.size() + 1)) grow();
-    entries_.push_back(Entry{digest, value_idx, {prefix.begin(), prefix.end()}, sig, ok});
+    entries_.push_back(Entry{digest, value_idx, static_cast<std::uint32_t>(prefixes_.size()),
+                             static_cast<std::uint32_t>(prefix.size()), sig, ok});
+    prefixes_.insert(prefixes_.end(), prefix.begin(), prefix.end());
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = static_cast<std::size_t>(digest) & mask;
     while (slots_[i] != 0) i = (i + 1) & mask;
@@ -89,10 +98,15 @@ class VerifiedChainCache {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
+  /// First reservation: an honest instance verifies about one signature
+  /// per peer, over prefixes of a few signers.
+  static constexpr std::size_t kFirstEntries = 8;
+
   struct Entry {
     std::uint64_t digest = 0;
-    std::uint32_t value_idx = 0;  ///< canonical value (instance value pool index)
-    std::vector<PartyId> prefix;  ///< signers[0..j], j the verified position
+    std::uint32_t value_idx = 0;   ///< canonical value (instance value pool index)
+    std::uint32_t prefix_off = 0;  ///< signers[0..j] at prefixes_[prefix_off, +prefix_len)
+    std::uint32_t prefix_len = 0;  ///< j + 1, j the verified position
     crypto::Signature sig;
     bool ok = false;
   };
@@ -108,6 +122,7 @@ class VerifiedChainCache {
   }
 
   std::vector<Entry> entries_;
+  std::vector<PartyId> prefixes_;     ///< every entry's signer prefix, back to back
   std::vector<std::uint32_t> slots_;  ///< entry idx + 1, 0 = empty
 };
 

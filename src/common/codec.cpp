@@ -12,25 +12,31 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) noexcept {
   return value;
 }
 
-void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
+void Writer::u8(std::uint8_t v) { buffer_for(1).push_back(v); }
 
-void Writer::u32(std::uint32_t v) { append_u32_le(buf_, v); }
+void Writer::u32(std::uint32_t v) { append_u32_le(buffer_for(4), v); }
 
-void Writer::u64(std::uint64_t v) { append_u64_le(buf_, v); }
+void Writer::u64(std::uint64_t v) { append_u64_le(buffer_for(8), v); }
 
 void Writer::bytes(ByteView b) {
+  buffer_for(4 + b.size());
   u32(static_cast<std::uint32_t>(b.size()));
   raw(b);
 }
 
-void Writer::raw(ByteView b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
+void Writer::raw(ByteView b) {
+  Bytes& buf = buffer_for(b.size());
+  buf.insert(buf.end(), b.begin(), b.end());
+}
 
 void Writer::u32_vec(const std::vector<std::uint32_t>& v) {
+  buffer_for(4 + 4 * v.size());
   u32(static_cast<std::uint32_t>(v.size()));
   for (std::uint32_t x : v) u32(x);
 }
 
 void Writer::str(const std::string& s) {
+  buffer_for(4 + s.size());
   u32(static_cast<std::uint32_t>(s.size()));
   buf_.insert(buf_.end(), s.begin(), s.end());
 }

@@ -49,7 +49,10 @@ inline void store_u32_le(Bytes& b, std::size_t off, std::uint32_t v) {
   }
 }
 
-/// Append-only serializer.
+/// Append-only serializer. The first write into an empty buffer reserves
+/// one kFirstBlock-byte block (more if that write alone needs it), so a
+/// frame or an encoded list costs one allocation instead of a chain of
+/// regrowths; take() hands the block over and the next write starts anew.
 class Writer {
  public:
   void u8(std::uint8_t v);
@@ -71,6 +74,14 @@ class Writer {
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
  private:
+  static constexpr std::size_t kFirstBlock = 64;
+
+  /// The buffer, with room reserved for a first write of `n` bytes.
+  Bytes& buffer_for(std::size_t n) {
+    if (buf_.capacity() == 0) buf_.reserve(n > kFirstBlock ? n : kFirstBlock);
+    return buf_;
+  }
+
   Bytes buf_;
 };
 

@@ -7,30 +7,6 @@
 
 namespace bsm::core {
 
-namespace {
-
-[[nodiscard]] std::unique_ptr<broadcast::Instance> make_bb(const BsmConfig& cfg, BbKind bb,
-                                                           PartyId sender,
-                                                           const Bytes& input_if_sender) {
-  const Side sender_side = side_of(sender, cfg.k);
-  Bytes def =
-      matching::encode_preference_list(matching::default_preference_list(sender_side, cfg.k));
-
-  if (bb == BbKind::DolevStrong) {
-    return std::make_unique<broadcast::DolevStrong>(sender, cfg.tl + cfg.tr, input_if_sender);
-  }
-
-  auto quorums = std::make_shared<const broadcast::ProductQuorums>(cfg.k, cfg.tl, cfg.tr);
-  const std::uint32_t ba_duration = 3 * quorums->num_phases();
-  return std::make_unique<broadcast::BBviaBA>(
-      sender, input_if_sender, std::move(def), ba_duration,
-      [quorums](Bytes input) -> std::unique_ptr<broadcast::Instance> {
-        return std::make_unique<broadcast::PhaseKingBA>(std::move(input), quorums);
-      });
-}
-
-}  // namespace
-
 std::uint32_t BroadcastThenMatch::bb_duration(const BsmConfig& cfg, BbKind bb) {
   if (bb == BbKind::DolevStrong) return cfg.tl + cfg.tr + 1;
   return 1 + 3 * (cfg.tl + cfg.tr + 1);
@@ -48,13 +24,38 @@ BroadcastThenMatch::BroadcastThenMatch(const BsmConfig& cfg, BbKind bb, net::Rel
           "BroadcastThenMatch: invalid input list");
   const Bytes own = matching::encode_preference_list(input);
 
-  std::vector<PartyId> everyone;
-  everyone.reserve(cfg.n());
-  for (PartyId p = 0; p < cfg.n(); ++p) everyone.push_back(p);
+  // Built once per process and shared by its n instances: the participant
+  // list (the hub keeps one copy), and for phase-king the quorums and the
+  // two sides' encoded default lists.
+  std::vector<PartyId> everyone(cfg.n());
+  for (PartyId p = 0; p < cfg.n(); ++p) everyone[p] = p;
 
+  if (bb == BbKind::DolevStrong) {
+    for (PartyId sender = 0; sender < cfg.n(); ++sender) {
+      hub_.add_instance(sender, /*base=*/0, everyone,
+                        std::make_unique<broadcast::DolevStrong>(
+                            sender, cfg.tl + cfg.tr, sender == self ? own : Bytes{}));
+    }
+    return;
+  }
+
+  quorums_ = std::make_shared<const broadcast::ProductQuorums>(cfg.k, cfg.tl, cfg.tr);
+  const Bytes defaults[2] = {
+      matching::encode_preference_list(matching::default_preference_list(Side::Left, cfg.k)),
+      matching::encode_preference_list(matching::default_preference_list(Side::Right, cfg.k))};
+  const std::uint32_t ba_duration = 3 * quorums_->num_phases();
   for (PartyId sender = 0; sender < cfg.n(); ++sender) {
-    hub_.add_instance(sender, /*base=*/0, everyone,
-                      make_bb(cfg, bb, sender, sender == self ? own : Bytes{}));
+    const Bytes& def = defaults[side_of(sender, cfg.k) == Side::Left ? 0 : 1];
+    // The factory captures the address of quorums_, which outlives hub_
+    // (it is declared first), so the std::function stores it inline
+    // instead of allocating a copy of a shared_ptr per instance.
+    hub_.add_instance(
+        sender, /*base=*/0, everyone,
+        std::make_unique<broadcast::BBviaBA>(
+            sender, sender == self ? own : Bytes{}, def, ba_duration,
+            [quorums = &quorums_](Bytes in) -> std::unique_ptr<broadcast::Instance> {
+              return std::make_unique<broadcast::PhaseKingBA>(std::move(in), *quorums);
+            }));
   }
 }
 
@@ -71,7 +72,7 @@ void BroadcastThenMatch::on_round(net::Context& ctx, net::Inbox inbox) {
     const auto& out = hub_.instance(id).output();
     std::optional<matching::PreferenceList> list;
     if (out.has_value()) list = matching::decode_preference_list(*out, side, cfg_.k);
-    profile.set(id, list.value_or(matching::default_preference_list(side, cfg_.k)));
+    profile.set(id, list ? std::move(*list) : matching::default_preference_list(side, cfg_.k));
   }
   matching_ = matching::gale_shapley(profile).matching;
   decision_ = matching_[self_];

@@ -11,9 +11,11 @@
 // process also covers the one-sided and bipartite reductions.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "broadcast/instance.hpp"
+#include "broadcast/quorums.hpp"
 #include "core/problem.hpp"
 #include "matching/gale_shapley.hpp"
 #include "matching/preferences.hpp"
@@ -26,6 +28,9 @@ class BroadcastThenMatch final : public BsmProcess {
  public:
   BroadcastThenMatch(const BsmConfig& cfg, BbKind bb, net::RelayMode relay, std::uint32_t stride,
                      PartyId self, matching::PreferenceList input);
+  // The phase-king factories hold the address of quorums_.
+  BroadcastThenMatch(const BroadcastThenMatch&) = delete;
+  BroadcastThenMatch& operator=(const BroadcastThenMatch&) = delete;
 
   void on_round(net::Context& ctx, net::Inbox inbox) override;
 
@@ -43,6 +48,8 @@ class BroadcastThenMatch final : public BsmProcess {
  private:
   BsmConfig cfg_;
   PartyId self_;
+  /// Phase-king only: the product structure every agreement instance shares.
+  std::shared_ptr<const broadcast::ProductQuorums> quorums_;
   broadcast::InstanceHub hub_;
   bool decided_ = false;
   PartyId decision_ = kNobody;

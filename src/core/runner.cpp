@@ -1,5 +1,6 @@
 #include "core/runner.hpp"
 
+#include "common/party_set.hpp"
 #include "core/oracle.hpp"
 
 namespace bsm::core {
@@ -30,12 +31,19 @@ AssembledRun assemble_run(RunSpec spec) {
   net::Engine engine(net::Topology(cfg.topology, cfg.k), spec.pki_seed);
   if (spec.policy != nullptr) engine.set_delivery_policy(std::move(spec.policy));
 
+  // A party corrupted from round 0 never runs honest code, so it gets no
+  // honest process; an adaptively corrupted one runs it until `when`.
+  PartySet corrupt_from_start;
+  for (const auto& adv : spec.adversaries) {
+    require(adv.id < cfg.n(), "run_bsm: adversary id out of range");
+    require(adv.strategy != nullptr, "run_bsm: adversary strategy missing");
+    if (adv.when == 0) corrupt_from_start.insert(adv.id);
+  }
   for (PartyId id = 0; id < cfg.n(); ++id) {
+    if (corrupt_from_start.contains(id)) continue;
     engine.set_process(id, make_bsm_process(cfg, proto, id, spec.inputs.list(id)));
   }
   for (auto& adv : spec.adversaries) {
-    require(adv.id < cfg.n(), "run_bsm: adversary id out of range");
-    require(adv.strategy != nullptr, "run_bsm: adversary strategy missing");
     if (adv.when == 0) {
       engine.set_corrupt(adv.id, std::move(adv.strategy));
     } else {

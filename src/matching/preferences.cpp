@@ -6,11 +6,26 @@ namespace bsm::matching {
 
 bool is_valid_preference_list(const PreferenceList& list, Side owner_side, std::uint32_t k) {
   if (list.size() != k) return false;
-  std::vector<bool> seen(2 * k, false);
   const Side target = opposite(owner_side);
   for (PartyId id : list) {
-    if (id >= 2 * k || side_of(id, k) != target || seen[id]) return false;
-    seen[id] = true;
+    if (id >= 2 * k || side_of(id, k) != target) return false;
+  }
+  // Duplicates, over local ids [0, k) in windows of a stack bitset: one
+  // pass for any market whose profile fits in memory, and no allocation
+  // at any k (the list is checked at every decode and profile insert).
+  constexpr std::uint32_t kWindow = 4096;
+  const PartyId base = target == Side::Left ? 0 : k;
+  std::uint64_t seen[kWindow / 64];
+  for (std::uint64_t lo = 0; lo < k; lo += kWindow) {
+    const std::uint64_t width = std::min<std::uint64_t>(k - lo, kWindow);
+    std::fill_n(seen, (width + 63) / 64, 0);
+    for (PartyId id : list) {
+      const std::uint64_t local = id - base - lo;
+      if (local >= width) continue;
+      const std::uint64_t bit = std::uint64_t{1} << (local & 63);
+      if ((seen[local >> 6] & bit) != 0) return false;
+      seen[local >> 6] |= bit;
+    }
   }
   return true;
 }

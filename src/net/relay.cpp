@@ -130,6 +130,7 @@ void RelayRouter::broadcast(Context& ctx, const std::vector<PartyId>& recipients
 
 std::span<const AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
   out_.clear();
+  out_.reserve(inbox.size());  // at most one message per envelope
   const Topology& topo = ctx.topology();
   const std::uint32_t k = topo.k();
   const PartyId self = ctx.self();

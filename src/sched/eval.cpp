@@ -27,7 +27,10 @@ Eval eval_schedule(const core::ScenarioSpec& base,
   if (collect_menu) {
     run.engine.set_observer([&](const net::Envelope& env) {
       if (env.from == env.to) return;  // self-loopback: not a network channel
-      menu.push_back({run.engine.current_round(), env.from, env.to});
+      const Slot slot{run.engine.current_round(), env.from, env.to};
+      // A channel's envelopes in one round usually arrive back to back;
+      // the sort and unique below still settle the rest.
+      if (menu.empty() || menu.back() != slot) menu.push_back(slot);
     });
   }
 

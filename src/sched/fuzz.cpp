@@ -120,21 +120,23 @@ ScheduleTrace Fuzzer::mutate(const ScheduleTrace& base, const ScheduleTrace* spl
   enum Edit : std::uint64_t { kInsert, kRemove, kRetarget, kTweak, kSplice };
   const std::size_t edits = 1 + rng.below(3);
   for (std::size_t e = 0; e < edits; ++e) {
-    std::vector<Edit> applicable;
-    if (!menu_.empty() && trace.ops.size() < opts_.max_ops) applicable.push_back(kInsert);
-    if (!trace.ops.empty()) applicable.push_back(kRemove);
-    if (!trace.ops.empty() && !menu_.empty()) applicable.push_back(kRetarget);
-    if (!trace.ops.empty()) applicable.push_back(kTweak);
-    if (splice != nullptr && !splice->ops.empty()) applicable.push_back(kSplice);
-    if (applicable.empty()) break;
+    Edit applicable[5];
+    std::size_t n_applicable = 0;
+    if (!menu_.empty() && trace.ops.size() < opts_.max_ops) applicable[n_applicable++] = kInsert;
+    if (!trace.ops.empty()) applicable[n_applicable++] = kRemove;
+    if (!trace.ops.empty() && !menu_.empty()) applicable[n_applicable++] = kRetarget;
+    if (!trace.ops.empty()) applicable[n_applicable++] = kTweak;
+    if (splice != nullptr && !splice->ops.empty()) applicable[n_applicable++] = kSplice;
+    if (n_applicable == 0) break;
 
     const auto pick_kind = [&]() -> ScheduleOp::Kind {
-      std::vector<ScheduleOp::Kind> kinds;
-      if (opts_.allow_drop) kinds.push_back(ScheduleOp::Kind::Drop);
-      if (opts_.allow_delay) kinds.push_back(ScheduleOp::Kind::Delay);
-      if (opts_.allow_reorder) kinds.push_back(ScheduleOp::Kind::Rank);
-      if (kinds.empty()) kinds.push_back(ScheduleOp::Kind::Drop);  // repaired away later
-      return kinds[rng.below(kinds.size())];
+      ScheduleOp::Kind kinds[3];
+      std::size_t n_kinds = 0;
+      if (opts_.allow_drop) kinds[n_kinds++] = ScheduleOp::Kind::Drop;
+      if (opts_.allow_delay) kinds[n_kinds++] = ScheduleOp::Kind::Delay;
+      if (opts_.allow_reorder) kinds[n_kinds++] = ScheduleOp::Kind::Rank;
+      if (n_kinds == 0) kinds[n_kinds++] = ScheduleOp::Kind::Drop;  // repaired away later
+      return kinds[rng.below(n_kinds)];
     };
     const auto draw_arg = [&](ScheduleOp::Kind kind) -> std::uint32_t {
       if (kind == ScheduleOp::Kind::Delay) {
@@ -146,7 +148,7 @@ ScheduleTrace Fuzzer::mutate(const ScheduleTrace& base, const ScheduleTrace* spl
       return 1;
     };
 
-    switch (applicable[rng.below(applicable.size())]) {
+    switch (applicable[rng.below(n_applicable)]) {
       case kInsert: {
         const Slot& slot = menu_[rng.below(menu_.size())];
         ScheduleOp op;

@@ -6,6 +6,7 @@
 //   `fuzz` emits schema-shaped JSON, exits 1 on a violation, and its
 //   counterexample replays through `fuzz --replay`;
 //   a replay reports the same rounds_to_termination watermark as `run`;
+//   a --replay or --trace op naming a party id >= n exits 2 as a bad trace;
 //   unusable paths (a directory to merge, a file in the way of --corpus,
 //   an unwritable --trace-out) exit 2 with a one-line error, never abort.
 #include <gtest/gtest.h>
@@ -105,6 +106,24 @@ TEST(CliContract, BadValuesExitTwo) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.exit_code, 2) << args;
   }
+}
+
+TEST(CliContract, ScheduleWithOutOfRangePartyExitsTwo) {
+  // An id the scenario does not have is a bad trace, not a run: the
+  // scripted policy's fault envelope would size a bitset for it (about
+  // 500 MB for this one) before any round ran.
+  const std::string trace = "\"drop@0:4000000000>1\"";
+  for (const char* sub : {"explore", "fuzz"}) {
+    const auto result = run_cli(std::string(sub) + " --k 2 --replay " + trace);
+    EXPECT_EQ(result.exit_code, 2) << sub << ": " << result.output;
+    EXPECT_NE(result.output.find("bad --replay trace"), std::string::npos)
+        << sub << ": " << result.output;
+  }
+  const auto edge = run_cli("explore --k 2 --replay \"drop@0:1>4\"");  // n = 4: ids 0..3
+  EXPECT_EQ(edge.exit_code, 2) << edge.output;
+  const auto run = run_cli("run --k 2 --trace " + trace);
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("bad --trace"), std::string::npos) << run.output;
 }
 
 TEST(CliContract, RunTraceAndGstAreMutuallyExclusive) {

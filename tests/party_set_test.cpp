@@ -1,7 +1,10 @@
 // Differential coverage for core::PartySet against the std::set<PartyId>
 // reference it replaced in the broadcast hot path: randomized
 // insert/erase/count/contains/iteration agreement, >64-party sets spanning
-// multiple words, and the masked side counts the product quorums use.
+// multiple words, the masked side counts the product quorums use, and the
+// boundary between the inline words (ids < 128) and a spilled heap block:
+// membership, copy and move across the two representations, and mixed
+// operands.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -84,12 +87,15 @@ TEST(PartySet, ClearKeepsCapacityAndEmptiesTheSet) {
 }
 
 TEST(PartySet, RandomizedDifferentialAgainstStdSet) {
-  // Ids span several words (including >64) to cover word boundaries.
+  // Ids span several words and cross the inline/heap boundary at 128; a
+  // copy and a move round trip ride along, so every operation is checked
+  // on sets that spilled mid-sequence as well as on inline ones.
   Rng rng(2024);
-  for (int round = 0; round < 50; ++round) {
+  const std::uint32_t bounds[4] = {60, 128, 129, 300};
+  for (int round = 0; round < 60; ++round) {
     PartySet flat;
     std::set<PartyId> ref;
-    const std::uint32_t id_bound = round % 2 == 0 ? 60 : 300;
+    const std::uint32_t id_bound = bounds[round % 4];
     for (int op = 0; op < 200; ++op) {
       const PartyId p = static_cast<PartyId>(rng.below(id_bound));
       if (rng.chance(0.7)) {
@@ -100,11 +106,112 @@ TEST(PartySet, RandomizedDifferentialAgainstStdSet) {
         ref.erase(p);
       }
       ASSERT_EQ(flat.contains(p), ref.contains(p));
+      if (op % 25 == 0) {
+        const PartySet copy = flat;
+        ASSERT_TRUE(copy == flat);
+        PartySet moved = std::move(flat);
+        ASSERT_TRUE(flat.empty());
+        flat = std::move(moved);
+        ASSERT_EQ(members_of(flat), std::vector<PartyId>(ref.begin(), ref.end()));
+      }
     }
     ASSERT_EQ(flat.count(), ref.size());
     ASSERT_EQ(members_of(flat), std::vector<PartyId>(ref.begin(), ref.end()))
         << "iteration must be ascending, matching std::set";
   }
+}
+
+TEST(PartySet, MembershipAtTheInlineBoundary) {
+  // Words 0 and 1 are inline; id 128 is the first that spills.
+  for (const PartyId p : {63U, 64U, 127U, 128U, 200U}) {
+    PartySet s;
+    s.insert(p);
+    EXPECT_TRUE(s.contains(p)) << p;
+    EXPECT_FALSE(s.contains(p - 1)) << p;
+    EXPECT_FALSE(s.contains(p + 1)) << p;
+    EXPECT_EQ(s.count(), 1U) << p;
+    EXPECT_EQ(members_of(s), std::vector<PartyId>{p});
+    s.erase(p);
+    EXPECT_TRUE(s.empty()) << p;
+  }
+  PartySet all{63, 64, 127, 128, 200};
+  EXPECT_EQ(all.count(), 5U);
+  EXPECT_EQ(members_of(all), (std::vector<PartyId>{63, 64, 127, 128, 200}));
+  EXPECT_FALSE(all.contains(129));
+  EXPECT_FALSE(all.contains(199));
+  EXPECT_FALSE(all.contains(201));
+}
+
+TEST(PartySet, CopyAndMoveAcrossInlineAndSpilled) {
+  const PartySet inline_set{1, 64, 127};
+  const PartySet spilled{2, 128, 300};
+
+  // Copy construction and assignment in all four directions.
+  PartySet a = inline_set;
+  EXPECT_EQ(members_of(a), (std::vector<PartyId>{1, 64, 127}));
+  a = spilled;  // inline -> spilled
+  EXPECT_EQ(members_of(a), (std::vector<PartyId>{2, 128, 300}));
+  a = inline_set;  // spilled -> inline contents (keeps its heap block)
+  EXPECT_EQ(members_of(a), (std::vector<PartyId>{1, 64, 127}));
+  EXPECT_FALSE(a.contains(300));
+  EXPECT_TRUE(a == inline_set);
+  PartySet b = spilled;
+  b = spilled;
+  EXPECT_TRUE(b == spilled);
+  const PartySet& same = b;
+  b = same;  // self-assignment
+  EXPECT_TRUE(b == spilled);
+
+  // Moves: a moved-from set is empty and reusable in either representation.
+  PartySet from_spilled = spilled;
+  PartySet to_spilled = std::move(from_spilled);
+  EXPECT_TRUE(to_spilled == spilled);
+  EXPECT_TRUE(from_spilled.empty());
+  EXPECT_EQ(from_spilled.count(), 0U);
+  from_spilled.insert(500);
+  from_spilled.insert(3);
+  EXPECT_EQ(members_of(from_spilled), (std::vector<PartyId>{3, 500}));
+
+  PartySet from_inline = inline_set;
+  PartySet to_inline = std::move(from_inline);
+  EXPECT_TRUE(to_inline == inline_set);
+  EXPECT_TRUE(from_inline.empty());
+  from_inline.insert(7);
+  EXPECT_EQ(members_of(from_inline), std::vector<PartyId>{7});
+
+  // Move assignment over a spilled target, then back over an inline one.
+  PartySet target = spilled;
+  PartySet source = inline_set;
+  target = std::move(source);
+  EXPECT_TRUE(target == inline_set);
+  EXPECT_FALSE(target.contains(128));
+  EXPECT_TRUE(source.empty());
+  source = std::move(to_spilled);
+  EXPECT_TRUE(source == spilled);
+  EXPECT_TRUE(to_spilled.empty());
+  to_spilled.insert(128);
+  EXPECT_TRUE(to_spilled.contains(128));
+}
+
+TEST(PartySet, MixedRepresentationOperandsAgree) {
+  // One operand inline, the other spilled, in both orders.
+  PartySet small{3, 70, 100};
+  PartySet big{3, 70, 100};
+  big.insert(400);
+  big.erase(400);  // spilled, trailing words zero
+  EXPECT_TRUE(small == big);
+  EXPECT_TRUE(big == small);
+  big.insert(130);
+  EXPECT_FALSE(small == big);
+  EXPECT_FALSE(big == small);
+
+  EXPECT_EQ(small.count_and(big), 3U);
+  EXPECT_EQ(big.count_and(small), 3U);
+  const PartySet left = PartySet::range(0, 64);
+  const PartySet wide = PartySet::range(64, 260);
+  EXPECT_EQ(big.count_and2(left, wide), (std::pair<std::uint32_t, std::uint32_t>{1, 3}));
+  EXPECT_EQ(small.count_and2(wide, left), (std::pair<std::uint32_t, std::uint32_t>{2, 1}));
+  EXPECT_EQ(wide.count_and2(small, big), (std::pair<std::uint32_t, std::uint32_t>{2, 3}));
 }
 
 TEST(PartySet, MaskedCountsMatchSetIntersection) {

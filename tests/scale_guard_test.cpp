@@ -2,12 +2,14 @@
 // n = 10^5 must run in O(n) live bytes (no hidden n x k materialization),
 // an engine carrying sparse (ring) traffic must stay O(n), never O(n^2),
 // and a steady-state engine round, with or without an InstanceHub on top,
-// allocates nothing. Enforced with a counting global operator new/delete
-// local to this test binary: every plain allocation carries a 16-byte
-// size header, and the hook tracks live and peak heap bytes and the
-// number of allocations. Aligned-new allocations bypass the hook (none of
-// the guarded paths use over-aligned types); the probes measure *deltas*,
-// so the harness's own baseline allocations cancel out.
+// allocates nothing. At the other end, a short run — almost all warm-up —
+// must allocate per party, not per broadcast instance, and a PartySet of
+// ids below 128 never touches the heap. Enforced with a counting global
+// operator new/delete local to this test binary: every plain allocation
+// carries a 16-byte size header, and the hook tracks live and peak heap
+// bytes and the number of allocations. Aligned-new allocations bypass the
+// hook (none of the guarded paths use over-aligned types); the probes
+// measure *deltas*, so the harness's own baseline allocations cancel out.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +20,9 @@
 #include <vector>
 
 #include "broadcast/instance.hpp"
+#include "common/party_set.hpp"
+#include "core/runner.hpp"
+#include "core/scenario.hpp"
 #include "matching/gale_shapley.hpp"
 #include "matching/stability.hpp"
 #include "matching/view.hpp"
@@ -224,6 +229,41 @@ TEST(ScaleGuard, SteadyStateHubRoundAllocatesNothing) {
   engine.run_guarded(1);
   EXPECT_EQ(g_calls.load(std::memory_order_relaxed) - before, 0U);
   EXPECT_EQ(dynamic_cast<const HubHost&>(engine.process(0)).heard(), std::size_t{3} * n);
+}
+
+TEST(ScaleGuard, ShortAuthenticatedRunAllocationBudget) {
+  // The schedule fuzzer's scenario: k = 3, authenticated, fully connected,
+  // tL = tR = 1, liars battery, seed 1 — six parties, each hosting six
+  // Dolev-Strong instances, over six rounds. When every
+  // instance grew its own buffers from empty, one run made about 2,000
+  // allocations; with per-party shared lists, hub-lent step scratch,
+  // inline PartySet words and flat verify-cache prefixes it makes about
+  // 530. The budget is that count plus 10 %.
+  core::ScenarioSpec s;
+  s.config = core::BsmConfig{net::TopologyKind::FullyConnected, true, 3, 1, 1};
+  s.input_seed = 1;
+  s.pki_seed = 2;
+  core::apply_battery(s, core::Battery::Liars, 1);
+
+  const std::size_t before = g_calls.load(std::memory_order_relaxed);
+  const core::RunOutcome out = core::run_bsm(core::to_run_spec(s));
+  const std::size_t allocs = g_calls.load(std::memory_order_relaxed) - before;
+  ASSERT_TRUE(out.report.all());
+  EXPECT_LE(allocs, 586U) << "a short run allocates per party, not per instance";
+}
+
+TEST(ScaleGuard, PartySetBelow128StaysInline) {
+  std::size_t before = g_calls.load(std::memory_order_relaxed);
+  core::PartySet s;
+  for (PartyId p = 0; p < 128; ++p) s.insert(p);
+  const core::PartySet copy = s;
+  EXPECT_EQ(copy.count(), 128U);
+  EXPECT_EQ(g_calls.load(std::memory_order_relaxed) - before, 0U);
+
+  before = g_calls.load(std::memory_order_relaxed);
+  s.insert(128);
+  EXPECT_EQ(g_calls.load(std::memory_order_relaxed) - before, 1U) << "one spill to the heap";
+  EXPECT_EQ(s.count(), 129U);
 }
 
 }  // namespace

@@ -742,13 +742,27 @@ void add_search_flags(cli::Subcommand& sub, SearchCli& o, Options& opts,
   return out.str();
 }
 
+/// Parse a hand-supplied schedule (`run --trace`, `--replay`) for an
+/// n-party scenario: nullopt on malformed text, and on an op naming a
+/// party id >= n — the scripted policy's fault envelope would grow a
+/// bitset to cover that id (about 500 MB for an id near 2^32).
+[[nodiscard]] std::optional<sched::ScheduleTrace> parse_trace(const std::string& text,
+                                                              std::uint32_t n) {
+  auto trace = sched::ScheduleTrace::parse(text);
+  if (!trace) return std::nullopt;
+  for (const sched::ScheduleOp& op : trace->ops) {
+    if (op.from >= n || op.to >= n) return std::nullopt;
+  }
+  return trace;
+}
+
 /// Shared by `explore --replay` and `fuzz --replay`: run one serialized
 /// trace under the scenario and print the replay JSON document. The
 /// output depends only on (scenario, horizon, trace), so a
 /// counterexample replays bit-for-bit from either subcommand.
 int run_replay(core::ScenarioSpec scenario, Round horizon, Round max_rounds,
                const std::string& serialized) {
-  const auto trace = sched::ScheduleTrace::parse(serialized);
+  const auto trace = parse_trace(serialized, scenario.config.n());
   if (!trace) {
     std::cerr << "bad --replay trace: " << serialized << "\n";
     return 2;
@@ -1088,7 +1102,7 @@ int run_run_command(int argc, char** argv, int first) {
   }
 
   if (opt.trace.has_value()) {
-    const auto trace = sched::ScheduleTrace::parse(*opt.trace);
+    const auto trace = parse_trace(*opt.trace, opt.cfg.n());
     if (!trace) {
       std::cerr << "bad --trace: " << *opt.trace << "\n";
       return 2;
