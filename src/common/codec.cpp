@@ -41,46 +41,11 @@ void Writer::str(const std::string& s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-bool Reader::take(std::size_t n) noexcept {
-  if (!ok_ || buf_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t Reader::u8() {
-  if (!take(1)) return 0;
-  return buf_[pos_++];
-}
-
-std::uint32_t Reader::u32() {
-  if (!take(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  if (!take(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
-  return v;
-}
-
 Bytes Reader::bytes() {
   const std::uint32_t n = u32();
   if (!take(n)) return {};
   Bytes out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
             buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
-ByteView Reader::bytes_view() {
-  const std::uint32_t n = u32();
-  if (!take(n)) return {};
-  const ByteView out = buf_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

@@ -2,8 +2,15 @@
 //
 // Every protocol message in this repository is serialized through Writer and
 // parsed through Reader. Reader never throws on malformed input: byzantine
-// parties may send arbitrary bytes, so every `get_*` reports failure through
+// parties may send arbitrary bytes, so every read reports failure through
 // `ok()`, and higher layers drop messages that fail to parse.
+//
+// Reader's fixed-width reads and bytes_view() are defined in this header:
+// the relay router and the instance hub decode every envelope of a run
+// through them, and an out-of-line call per field cost more than the read
+// itself. Writer stays out of line (codec.cpp); inlined into the frame
+// encoders, its vector inserts trip false -Warray-bounds and
+// -Wstringop-overflow warnings in GCC 12 at -O3.
 #pragma once
 
 #include <cstdint>
@@ -90,13 +97,35 @@ class Reader {
  public:
   explicit Reader(ByteView b) noexcept : buf_(b) {}
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
+  // A read that runs past the end returns 0 (or an empty container or
+  // view) and clears ok(), and every later read fails the same way, so a
+  // truncated frame never yields a partial value.
+  [[nodiscard]] std::uint8_t u8() noexcept {
+    if (!take(1)) return 0;
+    return buf_[pos_++];
+  }
+  [[nodiscard]] std::uint32_t u32() noexcept {
+    if (!take(4)) return 0;
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf_[pos_++]) << (8 * i);
+    return v;
+  }
+  [[nodiscard]] std::uint64_t u64() noexcept {
+    if (!take(8)) return 0;
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
+    return v;
+  }
   [[nodiscard]] Bytes bytes();
   /// Like bytes(), but a borrowed view into the buffer — no allocation.
   /// Valid only while the underlying buffer is alive and unmodified.
-  [[nodiscard]] ByteView bytes_view();
+  [[nodiscard]] ByteView bytes_view() noexcept {
+    const std::uint32_t n = u32();
+    if (!take(n)) return {};
+    const ByteView out = buf_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
   [[nodiscard]] std::vector<std::uint32_t> u32_vec();
   [[nodiscard]] std::string str();
 
@@ -106,7 +135,14 @@ class Reader {
   [[nodiscard]] bool done() const noexcept { return ok_ && pos_ == buf_.size(); }
 
  private:
-  [[nodiscard]] bool take(std::size_t n) noexcept;
+  /// True iff `n` more bytes can be read; otherwise clears ok_.
+  [[nodiscard]] bool take(std::size_t n) noexcept {
+    if (!ok_ || buf_.size() - pos_ < n) {
+      ok_ = false;
+      return false;
+    }
+    return true;
+  }
 
   ByteView buf_;
   std::size_t pos_ = 0;

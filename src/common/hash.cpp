@@ -4,30 +4,6 @@
 
 namespace bsm {
 
-std::uint64_t fnv1a64(const Bytes& data) noexcept {
-  return fnv1a64(std::span<const std::uint8_t>(data.data(), data.size()));
-}
-
-std::uint64_t fnv1a64(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
-  return splitmix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
-}
-
 std::string to_hex(std::uint64_t v) {
   static constexpr std::array<char, 16> digits = {'0', '1', '2', '3', '4', '5', '6', '7',
                                                   '8', '9', 'a', 'b', 'c', 'd', 'e', 'f'};

@@ -162,7 +162,7 @@ void PiBsmOther::on_round(net::Context& ctx, net::Inbox inbox) {
     Writer w;
     w.u32(pi_bsm_list_channel(cfg_.k));
     w.bytes(matching::encode_preference_list(input_));
-    for (PartyId a : side_members(algo_side_, cfg_.k)) router_.send(ctx, a, w.data());
+    router_.broadcast(ctx, side_members(algo_side_, cfg_.k), w.data());
   }
 
   for (const auto& msg : msgs) {

@@ -44,23 +44,31 @@ class EngineContext final : public Context {
         bytes_(&bytes),
         corrupt_(corrupt) {}
 
-  void send(PartyId to, ByteView payload) override {
-    const bool channel = to == self_ || topo_->connected(self_, to);
-    if (!channel) {
-      // Honest code sending along a nonexistent channel is a bug; byzantine
-      // code gets the message silently dropped (it has no such channel).
-      require(corrupt_, "Context::send: honest process used a nonexistent channel");
-      return;
+  void send(PartyId to, ByteView payload) override { multicast({&to, 1}, payload); }
+
+  void multicast(std::span<const PartyId> to, ByteView payload) override {
+    // The payload goes through the arena's intern table once, at the first
+    // recipient with a channel: a payload any party already sent this
+    // round (a broadcast's earlier sends, a relayed message's k forwards,
+    // honest parties' identical votes) reuses that copy and its digest.
+    // Every envelope of a payload shares one view and one digest, which
+    // the delivery fold consumes.
+    PayloadArena::Interned stored;
+    bool interned = false;
+    for (PartyId p : to) {
+      if (p != self_ && !topo_->connected(self_, p)) {
+        // Honest code sending along a nonexistent channel is a bug;
+        // byzantine code gets the message silently dropped (it has no
+        // such channel).
+        require(corrupt_, "Context::send: honest process used a nonexistent channel");
+        continue;
+      }
+      if (!interned) {
+        stored = bytes_->intern(payload);
+        interned = true;
+      }
+      out_->push_back(Envelope{self_, p, round_, stored.bytes, stored.digest});
     }
-    // A broadcast pushes the same bytes once per recipient, back to back,
-    // so the comparison against this context's previous send settles most
-    // sends with one memcmp. Other bytes go through the arena's intern
-    // table: a payload another party already sent this round (a relayed
-    // message's k forwards, honest parties' identical votes) reuses that
-    // copy and its digest. Every envelope of a payload shares one view and
-    // one digest, which the delivery fold consumes.
-    if (!std::ranges::equal(payload, last_.bytes)) last_ = bytes_->intern(payload);
-    out_->push_back(Envelope{self_, to, round_, last_.bytes, last_.digest});
   }
 
   [[nodiscard]] Round round() const override { return round_; }
@@ -78,8 +86,6 @@ class EngineContext final : public Context {
   std::vector<Envelope>* out_;
   PayloadArena* bytes_;
   bool corrupt_;
-  /// This context's last interned payload; digest 0 before the first.
-  PayloadArena::Interned last_;
 };
 
 }  // namespace
@@ -161,11 +167,14 @@ void Mailbox::assemble(std::vector<Envelope>&& sends, std::size_t n) {
   for (std::size_t i = 1; i <= n; ++i) offsets_[i] += offsets_[i - 1];
 
   cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-  scatter_.resize(sends.size());
-  for (auto& env : sends) scatter_[cursor_[env.to]++] = std::move(env);
+  // The scatter target only ever grows: every slot below offsets_[n] is
+  // written before it is read, so constructing the slots a round already
+  // holds again would be wasted work. The arena's own size may therefore
+  // exceed this round's envelope count, which offsets_ bounds.
+  if (scatter_.size() < sends.size()) scatter_.resize(sends.size());
+  for (auto& env : sends) scatter_[cursor_[env.to]++] = env;
   arena_ = std::move(scatter_);
-  scatter_ = std::move(sends);  // keep the emptied buffer's capacity in rotation
-  scatter_.clear();
+  scatter_ = std::move(sends);  // keeps its slots and capacity in rotation
 }
 
 std::vector<Envelope> Mailbox::recycle() {
@@ -261,18 +270,15 @@ void Engine::deliver_and_step() {
     }
   }
 
-  // Fold delivered messages into each recipient's view digest.
+  // Fold delivered messages into each recipient's view digest, then count
+  // them and show them to the observer in the same recipient-major order.
+  fold_views();
   stats_.delivered_messages += mailbox_.total();
   for (PartyId id = 0; id < slots_.size(); ++id) {
-    std::uint64_t v = slots_[id].view;
-    v = hash_combine(v, round_);
     for (const auto& env : mailbox_.inbox(id)) {
-      v = hash_combine(v, env.from);
-      v = hash_combine(v, env.payload_digest != 0 ? env.payload_digest : fnv1a64(env.payload));
       stats_.delivered_bytes += env.payload.size();
       if (observer_) observer_(env);
     }
-    slots_[id].view = v;
   }
   if (rec != nullptr) {
     const std::uint64_t t1 = rec->now_ns();
@@ -304,6 +310,46 @@ void Engine::deliver_and_step() {
   }
   ++round_;
   ++engine_round_;
+}
+
+void Engine::fold_views() {
+  // Each recipient's view digest is one serial hash_combine chain: the
+  // round, then (sender, payload digest) per delivered envelope in inbox
+  // order. The chains of four recipients are independent, so they advance
+  // in lockstep over their common inbox prefix, and the multiplies of one
+  // overlap the others'; each chain still folds exactly its own values in
+  // its own order.
+  const auto digest = [](const Envelope& env) {
+    return env.payload_digest != 0 ? env.payload_digest : fnv1a64(env.payload);
+  };
+  const auto fold_tail = [&](std::uint64_t v, Inbox in, std::size_t from) {
+    for (std::size_t i = from; i < in.size(); ++i) {
+      v = hash_combine(hash_combine(v, in[i].from), digest(in[i]));
+    }
+    return v;
+  };
+  constexpr std::size_t kLanes = 4;
+  const std::size_t n = slots_.size();
+  std::size_t id = 0;
+  for (; id + kLanes <= n; id += kLanes) {
+    Inbox in[kLanes];
+    std::uint64_t v[kLanes];
+    std::size_t common = SIZE_MAX;
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      in[j] = mailbox_.inbox(static_cast<PartyId>(id + j));
+      v[j] = hash_combine(slots_[id + j].view, round_);
+      common = std::min(common, in[j].size());
+    }
+    for (std::size_t i = 0; i < common; ++i) {
+      for (std::size_t j = 0; j < kLanes; ++j) v[j] = hash_combine(v[j], in[j][i].from);
+      for (std::size_t j = 0; j < kLanes; ++j) v[j] = hash_combine(v[j], digest(in[j][i]));
+    }
+    for (std::size_t j = 0; j < kLanes; ++j) slots_[id + j].view = fold_tail(v[j], in[j], common);
+  }
+  for (; id < n; ++id) {
+    const std::uint64_t v = hash_combine(slots_[id].view, round_);
+    slots_[id].view = fold_tail(v, mailbox_.inbox(static_cast<PartyId>(id)), 0);
+  }
 }
 
 void Engine::assemble_with_policy() {

@@ -13,12 +13,17 @@
 // them: each distinct payload of a round is copied in and FNV-hashed once,
 // whichever parties send it (a broadcast, the k identical forwards of a
 // relayed message, the identical values honest parties broadcast), and
-// envelopes carry views of that one copy. Both arenas are recycled round
+// envelopes carry views of that one copy. The intern table is the only
+// dedupe: every Context::send looks its bytes up, and a Context::multicast
+// looks them up once for all its recipients. Both arenas are recycled round
 // over round, so steady-state sends and deliveries allocate nothing.
 //
 // For the impossibility experiments the engine records, per party, a hash
 // of everything the party has received — two runs are indistinguishable to
-// party P exactly when P's view hashes agree round for round.
+// party P exactly when P's view hashes agree round for round. Each view
+// hash is one serial hash_combine chain; the delivery fold advances four
+// recipients' chains side by side, which changes no chain's values or
+// order.
 #pragma once
 
 #include <cstdint>
@@ -86,15 +91,19 @@ class Mailbox {
     return Inbox(arena_.data() + offsets_[id], offsets_[id + 1] - offsets_[id]);
   }
 
-  [[nodiscard]] std::size_t total() const noexcept { return arena_.size(); }
+  [[nodiscard]] std::size_t total() const noexcept {
+    return offsets_.empty() ? 0 : offsets_.back();
+  }
 
   /// Surrender the arena buffer for reuse as next round's send buffer.
   [[nodiscard]] std::vector<Envelope> recycle();
 
  private:
+  /// This round's envelopes in its first total() slots; the slots past
+  /// them hold dead envelopes of earlier rounds.
   std::vector<Envelope> arena_;
   std::vector<std::size_t> offsets_;  ///< n + 1 arena offsets, one per recipient
-  std::vector<Envelope> scatter_;     ///< counting-sort target, recycled round over round
+  std::vector<Envelope> scatter_;     ///< counting-sort target; only grows
   std::vector<std::size_t> cursor_;   ///< per-recipient scatter cursors
 };
 
@@ -258,6 +267,8 @@ class Engine {
 
   void deliver_and_step();
   void assemble_with_policy();
+  /// Fold this round's mailbox into every recipient's view digest.
+  void fold_views();
 
   Topology topo_;
   crypto::Pki pki_;

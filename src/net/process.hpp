@@ -10,6 +10,14 @@
 // (message filtering, dual-world simulation) around honest process code —
 // exactly the "byzantine party internally simulates honest instances"
 // device used by the paper's impossibility proofs.
+//
+// A process that sends the same bytes to several parties calls
+// `multicast`, which means one `send` per recipient in order. The engine's
+// context checks every channel as `send` would, then stores the payload
+// once for all of them (its per-round intern table is the only dedupe of
+// payload bytes). Shims keep the default loop over `send`: a filter may
+// itself send, and batching inside a shim would move those sends relative
+// to the recipient's inbox.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +66,12 @@ class Context {
   /// live for the call; the recipient's view of them lives for the round
   /// they are delivered in.
   virtual void send(PartyId to, ByteView payload) = 0;
+
+  /// Send `payload` to every party in `to`, in order: exactly
+  /// `for (PartyId p : to) send(p, payload)`, which is the default.
+  virtual void multicast(std::span<const PartyId> to, ByteView payload) {
+    for (PartyId p : to) send(p, payload);
+  }
 
   [[nodiscard]] virtual Round round() const = 0;
   [[nodiscard]] virtual PartyId self() const = 0;

@@ -105,26 +105,27 @@ void RelayRouter::send(Context& ctx, PartyId to, ByteView body) {
       }
     }
   }
-  for (PartyId relay : relays) ctx.send(relay, w.data());
+  ctx.multicast(relays, w.data());
 }
 
-void RelayRouter::broadcast(Context& ctx, const std::vector<PartyId>& recipients,
-                            ByteView body) {
+void RelayRouter::broadcast(Context& ctx, std::span<const PartyId> recipients, ByteView body) {
   const Topology& topo = ctx.topology();
   const PartyId self = ctx.self();
-  bool framed = false;
-  for (PartyId to : recipients) {
-    if (to == self || topo.connected(self, to)) {
-      if (!framed) {
-        direct_.truncate(0);
-        direct_.u8(kDirect);
-        direct_.bytes(body);
-        framed = true;
-      }
-      ctx.send(to, direct_.data());
-    } else {
-      send(ctx, to, body);  // relay path: per-destination frame (unique id)
+  const auto direct = [&](PartyId to) { return to == self || topo.connected(self, to); };
+  direct_.truncate(0);
+  direct_.u8(kDirect);
+  direct_.bytes(body);
+  for (std::size_t i = 0; i < recipients.size();) {
+    if (!direct(recipients[i])) {
+      send(ctx, recipients[i++], body);  // relay path: per-destination frame (unique id)
+      continue;
     }
+    // A maximal run of directly connected recipients is one multicast, so
+    // a relayed recipient keeps its place in the send order.
+    std::size_t end = i + 1;
+    while (end < recipients.size() && direct(recipients[end])) ++end;
+    ctx.multicast(recipients.subspan(i, end - i), direct_.data());
+    i = end;
   }
 }
 

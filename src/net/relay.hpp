@@ -22,10 +22,12 @@
 // The message path allocates nothing in steady state. `route` returns views
 // into the envelopes' payload bytes, collected in a buffer the router owns;
 // every outgoing frame is encoded into a scratch buffer the router reuses
-// (Context::send copies the bytes before it returns). Relayed (src, id)
-// pairs live in one open-addressed table: a slot starts pending, collects
-// majority votes on pooled candidates, and turns accepted in place, where
-// it stays as the replay guard.
+// (Context::send copies the bytes before it returns). A frame bound for
+// several parties — a relay request to every relay, a broadcast's direct
+// frame — leaves as one Context::multicast. Relayed (src, id) pairs live
+// in one open-addressed table: a slot starts pending, collects majority
+// votes on pooled candidates, and turns accepted in place, where it stays
+// as the replay guard.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +70,9 @@ class RelayRouter {
 
   /// Send `body` to every recipient in order. Byte- and id-identical to
   /// calling send() per recipient, but the direct-transport frame is
-  /// encoded once for the whole broadcast instead of once per recipient.
-  void broadcast(Context& ctx, const std::vector<PartyId>& recipients, ByteView body);
+  /// encoded once for the whole broadcast, and each run of consecutive
+  /// directly connected recipients is one Context::multicast.
+  void broadcast(Context& ctx, std::span<const PartyId> recipients, ByteView body);
 
   /// Decode a physical inbox: forward relay requests addressed to others,
   /// apply the acceptance rule for relayed messages addressed to us, and

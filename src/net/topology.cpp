@@ -15,19 +15,6 @@ Topology::Topology(TopologyKind kind, std::uint32_t k) : kind_(kind), k_(k) {
   require(k >= 1, "Topology: k must be at least 1");
 }
 
-bool Topology::connected(PartyId a, PartyId b) const noexcept {
-  if (a == b || a >= n() || b >= n()) return false;
-  const Side sa = side_of(a, k_);
-  const Side sb = side_of(b, k_);
-  if (sa != sb) return true;  // cross-side channels exist in every topology
-  switch (kind_) {
-    case TopologyKind::FullyConnected: return true;
-    case TopologyKind::OneSided: return sa == Side::Right;  // only R is internally connected
-    case TopologyKind::Bipartite: return false;
-  }
-  return false;
-}
-
 std::vector<PartyId> Topology::neighbors(PartyId id) const {
   std::vector<PartyId> out;
   for (PartyId other = 0; other < n(); ++other) {

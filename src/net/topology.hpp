@@ -31,8 +31,20 @@ class Topology {
   [[nodiscard]] std::uint32_t k() const noexcept { return k_; }
   [[nodiscard]] std::uint32_t n() const noexcept { return 2 * k_; }
 
-  /// Physical channel between two distinct parties?
-  [[nodiscard]] bool connected(PartyId a, PartyId b) const noexcept;
+  /// Physical channel between two distinct parties? Defined here: every
+  /// send and every relay request checks it.
+  [[nodiscard]] bool connected(PartyId a, PartyId b) const noexcept {
+    if (a == b || a >= n() || b >= n()) return false;
+    const Side sa = side_of(a, k_);
+    const Side sb = side_of(b, k_);
+    if (sa != sb) return true;  // cross-side channels exist in every topology
+    switch (kind_) {
+      case TopologyKind::FullyConnected: return true;
+      case TopologyKind::OneSided: return sa == Side::Right;  // only R is internally connected
+      case TopologyKind::Bipartite: return false;
+    }
+    return false;
+  }
 
   /// All parties sharing a channel with `id`, ascending.
   [[nodiscard]] std::vector<PartyId> neighbors(PartyId id) const;

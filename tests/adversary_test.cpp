@@ -77,6 +77,47 @@ TEST(Shims, SendFilteredDropsSelectedTraffic) {
   EXPECT_TRUE(dynamic_cast<Beacon&>(engine.process(1)).heard_.empty());
 }
 
+/// Multicasts one payload a round to a fixed recipient list.
+class Multicaster final : public net::Process {
+ public:
+  explicit Multicaster(std::vector<PartyId> to) : to_(std::move(to)) {}
+
+  void on_round(net::Context& ctx, net::Inbox) override {
+    ctx.multicast(to_, Bytes{static_cast<std::uint8_t>(ctx.self()), 1, 2});
+  }
+
+ private:
+  std::vector<PartyId> to_;
+};
+
+TEST(Shims, FilteredMulticastKeepsTheParentTranscript) {
+  // FilteringContext keeps Context's default multicast, a loop of its own
+  // filtered send(). A pass-through filter must leave every view hash and
+  // the traffic totals exactly as the engine's batched multicast makes
+  // them, and a filter that drops one recipient must match a multicast
+  // that never named it.
+  const auto run = [](std::vector<PartyId> to, bool shimmed, PartyId dropped) {
+    net::Engine engine(net::Topology(net::TopologyKind::FullyConnected, 2), 1);
+    for (PartyId id = 0; id < 4; ++id) {
+      auto inner = std::make_unique<Multicaster>(to);
+      if (shimmed) {
+        engine.set_process(id, std::make_unique<SendFiltered>(
+                                   std::move(inner),
+                                   [dropped](PartyId p, ByteView) { return p != dropped; }));
+      } else {
+        engine.set_process(id, std::move(inner));
+      }
+    }
+    engine.run_guarded(3);
+    std::vector<std::uint64_t> views;
+    for (PartyId id = 0; id < 4; ++id) views.push_back(engine.view_hash(id));
+    return std::make_pair(std::move(views), engine.stats());
+  };
+  EXPECT_EQ(run({3, 1, 1, 0, 2}, true, kNobody), run({3, 1, 1, 0, 2}, false, kNobody));
+  EXPECT_EQ(run({3, 1, 1, 0, 2}, true, 1), run({3, 0, 2}, false, kNobody));
+  EXPECT_NE(run({3, 1, 1, 0, 2}, true, 1), run({3, 1, 1, 0, 2}, false, kNobody));
+}
+
 TEST(Shims, SplitBrainSeparatesWorlds) {
   // Byzantine party 0 runs two beacons with different payloads; group 0 =
   // {1}, group 1 = {2, 3}. Each group must hear only its world's payload.

@@ -102,7 +102,10 @@ TEST(CliContract, BadValuesExitTwo) {
         // corruption budget may exceed its side (for sweep: the smallest
         // side in the grid).
         "run --k 0", "explore --k 0", "fuzz --k 2 --tl 3", "run --k 2 --tl 0 --tr 3",
-        "sweep --k 2,0", "sweep --k 2 --tl 3", "fuzz --batch 0"}) {
+        "sweep --k 2,0", "sweep --k 2 --tl 3", "fuzz --batch 0",
+        // A run hosts n^2 broadcast instances: k is capped at 64 everywhere
+        // (sweep's list already was), not only where memory runs out.
+        "run --k 65", "explore --k 65", "fuzz --k 65"}) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.exit_code, 2) << args;
   }

@@ -1,6 +1,11 @@
-// Unit tests for src/common: codec round-trips and hostile-input behaviour,
-// hashing, RNG determinism, table rendering, id/side helpers.
+// Unit tests for src/common: codec round-trips and hostile-input behaviour
+// (a truncation sweep over every inlined read), hashing (the
+// transcript-defining kernels pinned by known vectors), RNG determinism,
+// table rendering, id/side helpers.
 #include <gtest/gtest.h>
+
+#include <span>
+#include <string_view>
 
 #include "common/codec.hpp"
 #include "common/hash.hpp"
@@ -87,6 +92,51 @@ TEST(Codec, ShortBufferFailsSoftly) {
   EXPECT_TRUE(r.bytes().empty());
 }
 
+TEST(Codec, TruncationSweepFailsAtTheFirstShortField) {
+  // One frame holding a u8, a u32, a u64, a length-prefixed field and an
+  // empty one, decoded from every prefix: the fields that fit decode
+  // exactly (bytes_view as a view into the frame, not a copy); the first
+  // that does not returns 0 (or an empty view) and clears ok(); and every
+  // read after it stays 0 or empty.
+  const Bytes body{0xde, 0xad, 0xbe, 0xef, 0x01};
+  Writer w;
+  w.u8(0xa5);
+  w.u32(0x01020304U);
+  w.u64(0x1122334455667788ULL);
+  w.bytes(body);
+  w.bytes(Bytes{});
+  const Bytes frame = w.data();
+  const std::size_t body_at = 1 + 4 + 8 + 4;
+  ASSERT_EQ(frame.size(), body_at + body.size() + 4);
+  for (std::size_t len = 0; len <= frame.size(); ++len) {
+    Reader r(ByteView(frame.data(), len));
+    const std::uint8_t a = r.u8();
+    const std::uint32_t b = r.u32();
+    const std::uint64_t c = r.u64();
+    const ByteView d = r.bytes_view();
+    const ByteView e = r.bytes_view();
+    EXPECT_EQ(a, len >= 1 ? 0xa5U : 0U) << len;
+    EXPECT_EQ(b, len >= 5 ? 0x01020304U : 0U) << len;
+    EXPECT_EQ(c, len >= 13 ? 0x1122334455667788ULL : 0U) << len;
+    if (len >= body_at + body.size()) {
+      EXPECT_EQ(d.data(), frame.data() + body_at) << len;
+      EXPECT_EQ(Bytes(d.begin(), d.end()), body) << len;
+    } else {
+      EXPECT_TRUE(d.empty()) << len;
+    }
+    EXPECT_TRUE(e.empty()) << len;
+    const bool whole = len == frame.size();
+    EXPECT_EQ(r.ok(), whole) << len;
+    EXPECT_EQ(r.done(), whole) << len;
+    if (whole) continue;
+    EXPECT_EQ(r.u8(), 0U) << len;
+    EXPECT_EQ(r.u32(), 0U) << len;
+    EXPECT_EQ(r.u64(), 0U) << len;
+    EXPECT_TRUE(r.bytes_view().empty()) << len;
+    EXPECT_FALSE(r.ok()) << len;
+  }
+}
+
 TEST(Codec, HugeLengthPrefixRejected) {
   Writer w;
   w.u32(0xFFFFFFFF);  // absurd element count for u32_vec
@@ -122,6 +172,22 @@ TEST(Codec, GarbageFuzzNeverThrows) {
 TEST(Hash, Fnv1aMatchesKnownVector) {
   // FNV-1a 64-bit of empty input is the offset basis.
   EXPECT_EQ(fnv1a64(Bytes{}), 0xcbf29ce484222325ULL);
+}
+
+TEST(Hash, TranscriptKernelsMatchPinnedVectors) {
+  // Every view hash, digest and signature tag is built from these three
+  // functions, so their values may never move. The FNV-1a vectors are the
+  // published ones; the splitmix64 and hash_combine values are the ones
+  // every recorded golden and digest was computed with.
+  const auto fnv = [](std::string_view s) {
+    return fnv1a64(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
+  };
+  EXPECT_EQ(fnv("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(splitmix64(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(hash_combine(1, 2), 0xa3efbcce2e044f84ULL);
 }
 
 TEST(Hash, DifferentInputsDiffer) {

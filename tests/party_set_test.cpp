@@ -268,8 +268,9 @@ TEST(PartySet, CountAnd2MatchesTwoCountAndCalls) {
     PartySet ma;
     PartySet mb;
     // Deliberately unequal word counts across the three operands.
-    const std::uint32_t bounds[3] = {1 + rng.below(700), 1 + rng.below(700),
-                                     1 + rng.below(700)};
+    const std::uint32_t bounds[3] = {static_cast<std::uint32_t>(1 + rng.below(700)),
+                                     static_cast<std::uint32_t>(1 + rng.below(700)),
+                                     static_cast<std::uint32_t>(1 + rng.below(700))};
     for (std::uint32_t i = 0; i < 120; ++i) {
       holders.insert(static_cast<PartyId>(rng.below(bounds[0])));
       ma.insert(static_cast<PartyId>(rng.below(bounds[1])));

@@ -148,6 +148,74 @@ struct Fixture {
   RelayMode mode_;
 };
 
+/// A router user that, at round 0, sends one body to a recipient list
+/// through RelayRouter::broadcast or a loop of RelayRouter::send, and
+/// records the sender and frame tag of every physical envelope it hears.
+class ListSender final : public Process {
+ public:
+  ListSender(RelayMode mode, std::vector<PartyId> to, bool batched)
+      : router_(mode), to_(std::move(to)), batched_(batched) {}
+
+  void on_round(Context& ctx, Inbox inbox) override {
+    for (const Envelope& env : inbox) frames_.emplace_back(env.from, env.payload[0]);
+    for (const AppMsg& msg : router_.route(ctx, inbox)) {
+      delivered_.push_back({msg.from, Bytes(msg.body.begin(), msg.body.end())});
+    }
+    if (ctx.round() != 0) return;
+    if (batched_) {
+      router_.broadcast(ctx, to_, body_);
+    } else {
+      for (PartyId p : to_) router_.send(ctx, p, body_);
+    }
+  }
+
+  std::vector<std::pair<PartyId, std::uint8_t>> frames_;  ///< (sender, frame tag)
+  std::vector<Delivered> delivered_;
+
+ private:
+  RelayRouter router_;
+  std::vector<PartyId> to_;
+  bool batched_;
+  Bytes body_{4, 5, 6};
+};
+
+TEST(Relay, MixedBroadcastKeepsSendOrder) {
+  // One-sided k = 2: L = {0, 1} share no channel and R = {2, 3} relay for
+  // them. Party 0 broadcasts to 2 (direct), 1 (a relay request to 2 and
+  // 3) and 3 (direct), so the direct runs [2] and [3] are two multicasts
+  // around the request. Relay 2 must hear the direct frame before the
+  // request, relay 3 the request before the direct frame, and the whole
+  // run must match a loop of send() byte for byte.
+  const auto run = [](bool batched) {
+    auto engine = std::make_unique<Engine>(Topology(TopologyKind::OneSided, 2), 1);
+    for (PartyId id = 0; id < 4; ++id) {
+      engine->set_process(id, std::make_unique<ListSender>(
+                                  RelayMode::UnauthMajority,
+                                  id == 0 ? std::vector<PartyId>{2, 1, 3} : std::vector<PartyId>{},
+                                  batched));
+    }
+    engine->run_guarded(3);
+    return engine;
+  };
+  const auto engine = run(true);
+  const auto looped = run(false);
+  for (PartyId id = 0; id < 4; ++id) EXPECT_EQ(engine->view_hash(id), looped->view_hash(id)) << id;
+  EXPECT_EQ(engine->stats(), looped->stats());
+
+  const auto& relay2 = dynamic_cast<const ListSender&>(engine->process(2));
+  const auto& relay3 = dynamic_cast<const ListSender&>(engine->process(3));
+  const auto& target = dynamic_cast<const ListSender&>(engine->process(1));
+  using Frames = std::vector<std::pair<PartyId, std::uint8_t>>;
+  EXPECT_EQ(relay2.frames_, (Frames{{0, 0}, {0, 1}}));  // direct, then request
+  EXPECT_EQ(relay3.frames_, (Frames{{0, 1}, {0, 0}}));  // request, then direct
+  EXPECT_EQ(target.frames_, (Frames{{2, 2}, {3, 2}}));  // both forwards
+  ASSERT_EQ(target.delivered_.size(), 1U);
+  EXPECT_EQ(target.delivered_[0].from, 0U);
+  EXPECT_EQ(target.delivered_[0].body, (Bytes{4, 5, 6}));
+  EXPECT_EQ(relay2.delivered_.size(), 1U);
+  EXPECT_EQ(relay3.delivered_.size(), 1U);
+}
+
 TEST(Relay, DirectCrossSideDelivery) {
   Fixture f(2, RelayMode::Direct);
   f.script(0, {{0, 2, Bytes{1, 2, 3}}});

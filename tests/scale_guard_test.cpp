@@ -149,38 +149,53 @@ TEST(ScaleGuard, SparseEngineChannelMemoryTracksActiveChannels) {
 }
 
 TEST(ScaleGuard, SteadyStatePayloadPathAllocatesNothing) {
-  // 16 parties, each broadcasting the same 48 bytes to all 16 every round.
-  // Once the engine's envelope buffers and payload arenas have grown, a
-  // round stores the payload once across all senders (the arena interns
-  // it) and allocates nothing; a payload copy per envelope would cost 256
-  // allocations a round, and a copy per sender 16 stores.
+  // 16 parties, each broadcasting the same 48 bytes to all 16 every round,
+  // by a loop of send() or by one multicast. Once the engine's envelope
+  // buffers and payload arenas have grown, a round stores the payload once
+  // across all senders (the arena interns it) and allocates nothing; a
+  // payload copy per envelope would cost 256 allocations a round, and a
+  // copy per sender 16 stores.
   class Broadcaster final : public net::Process {
    public:
+    explicit Broadcaster(std::vector<PartyId> everyone, bool batched)
+        : everyone_(std::move(everyone)), batched_(batched) {}
     void on_round(net::Context& ctx, net::Inbox) override {
-      for (PartyId to = 0; to < ctx.topology().n(); ++to) ctx.send(to, payload_);
+      if (batched_) {
+        ctx.multicast(everyone_, payload_);
+      } else {
+        for (PartyId to : everyone_) ctx.send(to, payload_);
+      }
     }
 
    private:
+    std::vector<PartyId> everyone_;
+    bool batched_;
     Bytes payload_ = Bytes(48, 0x5a);
   };
 
-  net::Engine engine(net::Topology(net::TopologyKind::FullyConnected, 8), 1);
-  const std::uint32_t n = engine.topology().n();
-  ASSERT_EQ(n, 16U);
-  for (PartyId id = 0; id < n; ++id) engine.set_process(id, std::make_unique<Broadcaster>());
-  std::vector<const std::uint8_t*> stored;
-  stored.reserve(4 * n * n);
-  engine.set_observer([&](const net::Envelope& env) { stored.push_back(env.payload.data()); });
-  engine.run_guarded(3);  // warm-up: buffers and arenas reach their size
+  for (const bool batched : {false, true}) {
+    net::Engine engine(net::Topology(net::TopologyKind::FullyConnected, 8), 1);
+    const std::uint32_t n = engine.topology().n();
+    ASSERT_EQ(n, 16U);
+    std::vector<PartyId> everyone(n);
+    for (PartyId id = 0; id < n; ++id) everyone[id] = id;
+    for (PartyId id = 0; id < n; ++id) {
+      engine.set_process(id, std::make_unique<Broadcaster>(everyone, batched));
+    }
+    std::vector<const std::uint8_t*> stored;
+    stored.reserve(4 * n * n);
+    engine.set_observer([&](const net::Envelope& env) { stored.push_back(env.payload.data()); });
+    engine.run_guarded(3);  // warm-up: buffers and arenas reach their size
 
-  stored.clear();
-  const std::size_t before = g_calls.load(std::memory_order_relaxed);
-  engine.run_guarded(1);
-  EXPECT_EQ(g_calls.load(std::memory_order_relaxed) - before, 0U);
+    stored.clear();
+    const std::size_t before = g_calls.load(std::memory_order_relaxed);
+    engine.run_guarded(1);
+    EXPECT_EQ(g_calls.load(std::memory_order_relaxed) - before, 0U) << "batched=" << batched;
 
-  ASSERT_EQ(stored.size(), n * n);
-  const std::set<const std::uint8_t*> copies(stored.begin(), stored.end());
-  EXPECT_EQ(copies.size(), 1U) << "the round's one distinct payload is stored once";
+    ASSERT_EQ(stored.size(), n * n);
+    const std::set<const std::uint8_t*> copies(stored.begin(), stored.end());
+    EXPECT_EQ(copies.size(), 1U) << "the round's one distinct payload is stored once";
+  }
 }
 
 TEST(ScaleGuard, SteadyStateHubRoundAllocatesNothing) {

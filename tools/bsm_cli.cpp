@@ -117,6 +117,11 @@ template <typename Assign>
 
 // ---------------------------------------------------------- setting flags
 
+/// The largest market size any subcommand accepts. A run hosts n^2
+/// broadcast instances (n = 2k), so a much larger k asks for tens of GB
+/// before the first round.
+constexpr std::uint64_t kMaxK = 64;
+
 /// The setting rows `run`, `explore` and `fuzz` share: one fixed cell
 /// (topology, PKI, k, tL, tR) and its workload seed. Help shows the
 /// defaults bound in `cfg` and `seed`.
@@ -137,7 +142,7 @@ void add_setting_flags(cli::Subcommand& sub, core::BsmConfig& cfg, std::uint64_t
                                 std::uint32_t& field) {
     sub.flags.push_back(bounded_flag(
         std::move(name), "N", std::move(help) + " (default: " + std::to_string(field) + ")", lo,
-        1'000'000, [&field](std::uint64_t n) { field = static_cast<std::uint32_t>(n); }));
+        kMaxK, [&field](std::uint64_t n) { field = static_cast<std::uint32_t>(n); }));
   };
   count_row("--k", "parties per side", 1, cfg.k);
   count_row("--tl", "corruption budget within L", 0, cfg.tl);
@@ -330,8 +335,8 @@ struct SweepCli {
     std::vector<std::uint32_t> values;
     for (const auto& item : split_csv(v)) {
       const auto parsed = parse_u64(item);
-      if (!parsed || *parsed < lo || *parsed > 64) {
-        return "expected comma list of " + std::to_string(lo) + "..64";
+      if (!parsed || *parsed < lo || *parsed > kMaxK) {
+        return "expected comma list of " + std::to_string(lo) + ".." + std::to_string(kMaxK);
       }
       values.push_back(static_cast<std::uint32_t>(*parsed));
     }
