@@ -11,6 +11,7 @@
 
 #include "common/codec.hpp"
 #include "common/hash.hpp"
+#include "core/envelope.hpp"
 
 #ifndef BSM_GIT_SHA
 #define BSM_GIT_SHA "unknown"
@@ -237,6 +238,10 @@ int bench_main(int argc, char** argv) {
       return 2;
     }
     f << reporter.render(results);
+    if (const std::string error = close_report(f, json_path); !error.empty()) {
+      std::cerr << "bench: " << error << "\n";
+      return 2;
+    }
     // With the JSON in a file, stdout gets a human-readable summary.
     for (const auto& r : results) {
       std::printf("%-44s  median %10.3f ms", r.name.c_str(), r.median_ms);

@@ -43,4 +43,10 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+std::string close_report(std::ofstream& out, const std::string& path) {
+  out.flush();
+  out.close();  // sets failbit when the close fails
+  return out.fail() ? "write error on " + path : std::string();
+}
+
 }  // namespace bsm::core

@@ -16,6 +16,7 @@
 // never an outcome knob.
 #pragma once
 
+#include <fstream>
 #include <string>
 
 namespace bsm::core {
@@ -49,5 +50,13 @@ inline constexpr int kJsonSchemaVersion = 3;
 /// backslash-escaped and control characters become `\u00XX`. The one
 /// escaper every report writer uses.
 [[nodiscard]] std::string json_escape(const std::string& s);
+
+/// Flushes and closes a report file, then checks that every write to it
+/// landed. A full disk or a file-size limit fails a write without stopping
+/// the program, so a writer that skips this check exits 0 with a
+/// truncated file. Returns "" or "write error on <path>"; a command prints
+/// it after its own name (`merge: write error on m.jsonl`) and exits 2.
+/// bsm_cli's main() makes the same check once for stdout.
+[[nodiscard]] std::string close_report(std::ofstream& out, const std::string& path);
 
 }  // namespace bsm::core

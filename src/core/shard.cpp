@@ -492,11 +492,8 @@ FileStreamResult stream_sweep_file(const std::vector<ScenarioSpec>& cells,
   }
   run_blocks(cells, opts, next, end, out, res.stats);
   out << jsonl_summary_line(end - begin, res.stats.ran, res.stats.all_ok) << '\n';
-  out.flush();
-  if (!out) {
-    res.error = "write error on " + path;
-    return res;
-  }
+  res.error = close_report(out, path);
+  if (!res.error.empty()) return res;
   res.stats.cells = end - begin;
   return res;
 }

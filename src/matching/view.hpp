@@ -27,7 +27,6 @@
 #include "common/hash.hpp"
 #include "common/types.hpp"
 #include "matching/preferences.hpp"
-#include "matching/roommates.hpp"
 
 namespace bsm::matching {
 
@@ -201,56 +200,6 @@ class LazyProfile {
   }
 
   std::uint32_t k_;
-  std::uint64_t seed_;
-};
-
-/// Lazy one-sided (roommates) profile: agent x ranks all n - 1 others via a
-/// seeded permutation, skipping x itself. Same contract as LazyProfile.
-class LazyRoommateProfile {
- public:
-  LazyRoommateProfile(std::uint32_t n, std::uint64_t seed) : n_(n), seed_(seed) {
-    require(n >= 2 && n % 2 == 0, "LazyRoommateProfile: n must be even and positive");
-  }
-
-  [[nodiscard]] std::uint32_t n() const noexcept { return n_; }
-
-  /// `pos`-th most preferred partner of `x` (0 best); pos < n - 1.
-  [[nodiscard]] PartyId at(PartyId x, std::uint32_t pos) const {
-    require(x < n_ && pos < n_ - 1, "LazyRoommateProfile::at: out of range");
-    const std::uint32_t e = perm_for(x).forward(pos);
-    return e < x ? e : e + 1;  // skip x itself
-  }
-
-  [[nodiscard]] std::uint32_t rank(PartyId x, PartyId candidate) const {
-    require(x < n_ && candidate < n_ && candidate != x,
-            "LazyRoommateProfile::rank: candidate not ranked");
-    return perm_for(x).inverse(candidate < x ? candidate : candidate - 1);
-  }
-
-  [[nodiscard]] bool prefers(PartyId x, PartyId a, PartyId b) const {
-    return rank(x, a) < rank(x, b);
-  }
-
-  [[nodiscard]] PartyId favorite(PartyId x) const { return at(x, 0); }
-
-  /// The equivalent explicit profile, O(n^2) — differential tests only.
-  [[nodiscard]] RoommatePreferences materialize() const {
-    RoommatePreferences prefs(n_);
-    for (PartyId x = 0; x < n_; ++x) {
-      prefs[x].reserve(n_ - 1);
-      for (std::uint32_t pos = 0; pos + 1 < n_; ++pos) prefs[x].push_back(at(x, pos));
-    }
-    return prefs;
-  }
-
-  [[nodiscard]] std::size_t bytes_resident() const noexcept { return 0; }
-
- private:
-  [[nodiscard]] SeededPermutation perm_for(PartyId x) const noexcept {
-    return SeededPermutation(n_ - 1, splitmix64(seed_ ^ (0xe703'7ed1'a0b4'28dbULL * (x + 1))));
-  }
-
-  std::uint32_t n_;
   std::uint64_t seed_;
 };
 

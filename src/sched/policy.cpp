@@ -45,6 +45,10 @@ net::DeliveryVerdict TargetedOmissionPolicy::on_envelope(Round, const net::Envel
   return net::DeliveryVerdict::dropped();
 }
 
+std::size_t ScriptedPolicy::SlotHash::operator()(const Slot& s) const noexcept {
+  return slot_key(s.round, s.from, s.to);
+}
+
 ScriptedPolicy::ScriptedPolicy(ScheduleTrace trace) : trace_(std::move(trace)) {
   for (const auto& op : trace_.ops) {
     if (op.kind == ScheduleOp::Kind::Stall) {
@@ -64,7 +68,7 @@ ScriptedPolicy::ScriptedPolicy(ScheduleTrace trace) : trace_(std::move(trace)) {
     // First op per (round, channel) slot wins; the explorer never emits
     // two ops on one slot (same-slot extensions are skipped at
     // generation), so this only disambiguates hand-written traces.
-    by_slot_.emplace(slot_key(op.round, op.from, op.to), op);
+    by_slot_.emplace(Slot{op.round, op.from, op.to}, op);
   }
 }
 
@@ -77,7 +81,7 @@ bool ScriptedPolicy::stall_round(Round next) {
 }
 
 net::DeliveryVerdict ScriptedPolicy::on_envelope(Round now, const net::Envelope& env) {
-  const auto it = by_slot_.find(slot_key(now, env.from, env.to));
+  const auto it = by_slot_.find(Slot{now, env.from, env.to});
   if (it == by_slot_.end()) return net::DeliveryVerdict::deliver();
   ++applied_;
   switch (it->second.kind) {

@@ -12,6 +12,7 @@
 // across sweep thread counts (tests/sched_test.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -131,9 +132,22 @@ class ScriptedPolicy final : public net::DeliveryPolicy {
   [[nodiscard]] std::uint64_t applied() const noexcept { return applied_; }
 
  private:
+  /// One (round, from, to) slot, compared exactly. slot_key keeps only
+  /// the round's low 24 bits, so as the map key it would alias round
+  /// r + 2^24 with round r; it stays the hash.
+  struct Slot {
+    Round round;
+    PartyId from;
+    PartyId to;
+    bool operator==(const Slot&) const = default;
+  };
+  struct SlotHash {
+    std::size_t operator()(const Slot& s) const noexcept;
+  };
+
   ScheduleTrace trace_;
   net::FaultEnvelope envelope_;  ///< implied by the ops: their endpoints/args
-  std::unordered_map<std::uint64_t, ScheduleOp> by_slot_;  ///< (round, from, to) -> op
+  std::unordered_map<Slot, ScheduleOp, SlotHash> by_slot_;  ///< (round, from, to) -> op
   std::unordered_map<Round, std::uint32_t> stalls_;  ///< protocol round -> stalls left
   Round stall_budget_ = 0;                           ///< total scripted stall rounds
   std::uint64_t applied_ = 0;

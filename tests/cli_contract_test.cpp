@@ -8,7 +8,9 @@
 //   a replay reports the same rounds_to_termination watermark as `run`;
 //   a --replay or --trace op naming a party id >= n exits 2 as a bad trace;
 //   unusable paths (a directory to merge, a file in the way of --corpus,
-//   an unwritable --trace-out) exit 2 with a one-line error, never abort.
+//   an unwritable --trace-out) exit 2 with a one-line error, never abort;
+//   a write that fails midway (here: past a file-size limit) exits 2 and
+//   names its file or stdout.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -32,8 +34,7 @@ struct CliResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-[[nodiscard]] CliResult run_cli(const std::string& args) {
-  const std::string cmd = std::string(BSM_CLI_PATH) + " " + args + " 2>&1";
+[[nodiscard]] CliResult run_shell(const std::string& cmd) {
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   CliResult result;
@@ -46,6 +47,10 @@ struct CliResult {
   const int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+[[nodiscard]] CliResult run_cli(const std::string& args) {
+  return run_shell(std::string(BSM_CLI_PATH) + " " + args + " 2>&1");
 }
 
 TEST(CliContract, HelpExitsZeroAndDocumentsEverySubcommand) {
@@ -431,6 +436,46 @@ TEST(CliContract, TraceOutUnwritablePathExitsTwo) {
     EXPECT_NE(result.output.find("cannot write --trace-out file"), std::string::npos)
         << args << "\n" << result.output;
   }
+}
+
+TEST(CliContract, FailedWritesExitTwoAndNameTheTarget) {
+  // Under a one-block file-size limit with SIGXFSZ ignored, the write that
+  // crosses the limit fails with EFBIG instead of killing the process. No
+  // writer may then exit 0 with a truncated report.
+  const fs::path dir = fs::temp_directory_path() / "bsm_cli_contract_efbig";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto path = [&dir](const char* name) { return (dir / name).string(); };
+  const std::string shard = path("s.jsonl");
+  const std::string sweep =
+      "sweep --k 2 --tl 0,1 --tr 0,1 --seeds 2 --battery silent --topology fully --auth on --out ";
+  ASSERT_EQ(run_cli(sweep + shard).exit_code, 0);
+  ASSERT_GT(fs::file_size(shard), 2048U);
+  const std::string bench =
+      "bench --repeats 1 --filter '^gale_shapley/smoke|^sched/smoke|^sweep/smoke'";
+  struct Case {
+    std::string args;
+    std::string stdout_to;  ///< empty: stdout stays on the captured pipe
+    std::string target;     ///< what the error must name
+  };
+  const Case cases[] = {
+      {"merge " + shard + " --out " + path("m.jsonl"), "", path("m.jsonl")},
+      {"merge " + shard, path("m.jsonl"), "stdout"},
+      {bench + " --json " + path("b.json"), "", path("b.json")},
+      {bench, path("b.json"), "stdout"},
+      {"sweep --k 2 --seeds 2 --threads 2 --trace-out " + path("t.json"), "", path("t.json")},
+      {"run --k 3 --tl 1 --tr 1 --trace-out " + path("t.json"), "", path("t.json")},
+  };
+  const std::string limited = "trap '' XFSZ; ulimit -f 1; " + std::string(BSM_CLI_PATH) + " ";
+  for (const auto& c : cases) {
+    // stderr joins the pipe before stdout moves to the file.
+    const std::string redirect = c.stdout_to.empty() ? "" : " >" + c.stdout_to;
+    const auto result = run_shell(limited + c.args + " 2>&1" + redirect);
+    EXPECT_EQ(result.exit_code, 2) << c.args << "\n" << result.output;
+    EXPECT_NE(result.output.find(": write error on " + c.target + "\n"), std::string::npos)
+        << c.args << "\n" << result.output.substr(0, 400);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(CliContract, RecorderOnOutputBytesAreIdenticalOutsideMetrics) {

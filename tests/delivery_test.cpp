@@ -221,6 +221,24 @@ TEST(Delivery, DelayedDeliveryKeepsSenderOrderAmongCarriedAndFresh) {
   EXPECT_EQ(arrivals, expected);
 }
 
+TEST(Delivery, ScriptedOpPastTheHorizonNeverActsAtAnEarlyRound) {
+  // Round 2^24 + 1 shares its hash with round 1: the op must still never
+  // apply, so the (round 1, 1 -> 2) envelope arrives as usual.
+  Engine engine = flood_engine(scripted("drop@16777217:1>2"));
+  const std::vector<Arrival> seen = arrivals(engine);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), Arrival{1, 0, 1, 2}), 1);
+  EXPECT_EQ(engine.stats().dropped_messages, 0U);
+}
+
+TEST(Delivery, ScriptedOpPastTheHorizonDoesNotShadowARealOne) {
+  // The first op on a slot wins, so an aliased delay listed first would
+  // turn the round-1 drop into a delay to round 4.
+  Engine engine = flood_engine(scripted("delay@16777217:1>2*3;drop@1:1>2"));
+  const std::vector<Arrival> seen = arrivals(engine);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), Arrival{4, 0, 1, 2}), 0);
+  EXPECT_EQ(engine.stats().dropped_messages, 1U);
+}
+
 TEST(Delivery, PolicySwapWithCarriedTrafficIsRejected) {
   Engine engine = flood_engine(scripted("delay@1:0>1*50"));
   engine.run_guarded(2);

@@ -14,7 +14,6 @@
 #include "matching/gale_shapley.hpp"
 #include "matching/generators.hpp"
 #include "matching/preferences.hpp"
-#include "matching/roommates.hpp"
 #include "matching/stability.hpp"
 #include "matching/view.hpp"
 
@@ -111,28 +110,6 @@ TEST(LazyProfile, RejectsOutOfRangeAndSameSideQueries) {
   EXPECT_THROW((void)lazy.rank(5, 6), std::logic_error);      // same side (right)
   EXPECT_THROW((void)lazy.rank(0, 100), std::logic_error);    // bad candidate
   EXPECT_EQ(lazy.bytes_resident(), 0U);
-}
-
-TEST(LazyRoommateProfile, MaterializedTwinAgreesAndIrvingAccepts) {
-  for (const std::uint32_t n : {2U, 4U, 8U, 16U}) {
-    for (const std::uint64_t seed : {3ULL, 11ULL, 77ULL}) {
-      const LazyRoommateProfile lazy(n, seed);
-      const RoommatePreferences mat = lazy.materialize();
-      ASSERT_TRUE(is_valid_roommate_profile(mat));
-      for (PartyId x = 0; x < n; ++x) {
-        for (std::uint32_t pos = 0; pos + 1 < n; ++pos) {
-          const PartyId candidate = mat[x][pos];
-          ASSERT_NE(candidate, x);
-          ASSERT_EQ(lazy.at(x, pos), candidate);
-          ASSERT_EQ(lazy.rank(x, candidate), roommate_rank(mat, x, candidate));
-        }
-      }
-      const auto m = stable_roommates(mat);
-      if (m.has_value()) {
-        ASSERT_TRUE(is_stable_roommates(mat, *m));
-      }
-    }
-  }
 }
 
 TEST(MaterializedProfile, RankIndexInvalidatesOnSet) {

@@ -98,6 +98,8 @@ TEST(GaleShapley, AlignedProfileUsesMinimumProposals) {
   const auto result = gale_shapley(p);
   EXPECT_EQ(result.proposals, 5U);  // everyone's first choice is distinct
   EXPECT_TRUE(is_stable(p, result.matching));
+  // Every party, on both sides, gets its first choice.
+  for (PartyId id = 0; id < p.n(); ++id) EXPECT_EQ(result.matching[id], p.list(id).front());
 }
 
 TEST(GaleShapley, ContestedProfileIsQuadratic) {

@@ -79,6 +79,12 @@ class RoommatesRandom : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RoommatesRandom, AgreesWithBruteForceOracle) {
   for (const std::uint32_t n : {4U, 6U, 8U}) {
     const auto prefs = random_roommate_profile(n, GetParam() * 257 + n);
+    ASSERT_TRUE(is_valid_roommate_profile(prefs));
+    for (PartyId x = 0; x < n; ++x) {
+      for (std::uint32_t pos = 0; pos + 1 < n; ++pos) {
+        ASSERT_EQ(roommate_rank(prefs, x, prefs[x][pos]), pos);
+      }
+    }
     const auto oracle = all_stable_roommate_matchings(prefs);
     const auto irving = stable_roommates(prefs);
     ASSERT_EQ(irving.has_value(), !oracle.empty())

@@ -25,6 +25,7 @@
 // property violation (which inside the solvable region would be a library
 // bug — please report it).
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -216,9 +217,10 @@ class ObsSession {
                            const char* unit) {
     if (!o.enabled()) return true;
     if (!o.trace_path.empty()) {
-      trace_out_.open(o.trace_path, std::ios::binary | std::ios::trunc);
+      trace_path_ = o.trace_path;
+      trace_out_.open(trace_path_, std::ios::binary | std::ios::trunc);
       if (!trace_out_) {
-        error_ = "cannot write --trace-out file: " + o.trace_path;
+        error_ = "cannot write --trace-out file: " + trace_path_;
         return false;
       }
     }
@@ -243,8 +245,17 @@ class ObsSession {
     obs::install(nullptr);
     if (trace_out_.is_open()) {
       trace_out_ << recorder_->chrome_trace_json();
-      trace_out_.close();
+      error_ = core::close_report(trace_out_, trace_path_);
     }
+  }
+
+  /// The command's exit code: `code`, or 2 after "<sub>: write error on
+  /// FILE" when the trace file could not be written. Finishes first.
+  [[nodiscard]] int exit_code(const char* sub, int code) {
+    finish();
+    if (error_.empty()) return code;
+    std::cerr << sub << ": " << error_ << "\n";
+    return 2;
   }
 
   /// The report's `"metrics": {...},` member, empty without --metrics.
@@ -260,6 +271,7 @@ class ObsSession {
  private:
   std::unique_ptr<obs::Recorder> recorder_;
   obs::ProgressReporter progress_;
+  std::string trace_path_;
   std::ofstream trace_out_;
   std::string error_;
   bool emit_metrics_ = false;
@@ -519,7 +531,7 @@ int run_sweep_command(int argc, char** argv) {
               << ", \"inserts\": " << st.sweep.oracle.inserts << ", \"hit_rate\": "
               << hit_rate.str() << "},\n  " << metrics_part << "\"all_properties_held\": "
               << (st.all_ok ? "true" : "false") << "\n}\n";
-    return st.all_ok ? 0 : 1;
+    return obs_session.exit_code("sweep", st.all_ok ? 0 : 1);
   }
 
   // Inline document (the historical sweep output; CI smoke parses it).
@@ -548,7 +560,7 @@ int run_sweep_command(int argc, char** argv) {
             << ", \"misses\": " << stats.oracle.misses << ", \"inserts\": " << stats.oracle.inserts
             << ", \"hit_rate\": " << hit_rate.str() << "},\n  " << metrics_part
             << "\"all_properties_held\": " << (all_ok ? "true" : "false") << "\n}\n";
-  return all_ok ? 0 : 1;
+  return obs_session.exit_code("sweep", all_ok ? 0 : 1);
 }
 
 // ------------------------------------------------------------- merge mode
@@ -623,6 +635,10 @@ int run_merge_command(int argc, char** argv) {
       return 2;
     }
     out << *merged;
+    if (const std::string error = core::close_report(out, out_path); !error.empty()) {
+      std::cerr << "merge: " << error << "\n";
+      return 2;
+    }
   }
   return 0;
 }
@@ -862,7 +878,8 @@ int run_explore_command(int argc, char** argv) {
   if (o.replay.has_value()) {
     // Replay output is contractually a pure function of (scenario, trace):
     // the trace file is still written, but no metrics block is added.
-    return run_replay(*scenario, o.opts.horizon, o.max_rounds, *o.replay);
+    return obs_session.exit_code("explore",
+                                 run_replay(*scenario, o.opts.horizon, o.max_rounds, *o.replay));
   }
 
   const auto report = sched::explore(*scenario, o.opts);
@@ -882,7 +899,7 @@ int run_explore_command(int argc, char** argv) {
             << ", \"pruned\": " << report.pruned << ", \"violations\": " << report.violations
             << ", \"depth_reached\": " << report.depth_reached
             << ", \"truncated\": " << (report.truncated ? "true" : "false") << "},\n";
-  return print_findings(report, metrics_part);
+  return obs_session.exit_code("explore", print_findings(report, metrics_part));
 }
 
 // -------------------------------------------------------------- fuzz mode
@@ -958,7 +975,8 @@ int run_fuzz_command(int argc, char** argv) {
   if (o.replay.has_value()) {
     // Replay output is contractually a pure function of (scenario, trace):
     // the trace file is still written, but no metrics block is added.
-    return run_replay(*scenario, o.opts.horizon, o.max_rounds, *o.replay);
+    return obs_session.exit_code("fuzz",
+                                 run_replay(*scenario, o.opts.horizon, o.max_rounds, *o.replay));
   }
 
   sched::Fuzzer fuzzer(*scenario, o.opts);
@@ -987,7 +1005,7 @@ int run_fuzz_command(int argc, char** argv) {
             << ", \"corpus_saved\": " << report.corpus_saved
             << ", \"coverage\": " << report.coverage << ", \"interesting\": " << report.interesting
             << ", \"violations\": " << report.violations << "},\n";
-  return print_findings(report, metrics_part);
+  return obs_session.exit_code("fuzz", print_findings(report, metrics_part));
 }
 
 // --------------------------------------------------------------- run mode
@@ -1156,7 +1174,7 @@ int run_run_command(int argc, char** argv, int first) {
             << " rounds_to_termination=" << out.rounds_to_termination
             << " round_limit_hit=" << out.round_limit_hit << "\n";
   for (const auto& v : out.report.violations) std::cout << "  violation: " << v << "\n";
-  return out.report.all() ? 0 : 1;
+  return obs_session.exit_code("run", out.report.all() ? 0 : 1);
 }
 
 void print_top_help() {
@@ -1183,22 +1201,34 @@ void print_top_help() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int first = 1;
-  if (argc > 1) {
-    const std::string sub = argv[1];
-    if (sub == "--help") {
-      print_top_help();
-      return 0;
-    }
-    if (sub == "sweep") return run_sweep_command(argc, argv);
-    if (sub == "merge") return run_merge_command(argc, argv);
-    if (sub == "explore") return run_explore_command(argc, argv);
-    if (sub == "fuzz") return run_fuzz_command(argc, argv);
-    if (sub == "bench") {
-      benchcases::register_all();
-      return core::bench_main(argc - 1, argv + 1);
-    }
-    if (sub == "run") first = 2;  // explicit alias for the default mode
+  std::string sub = argc > 1 ? argv[1] : "";
+  int code = 0;
+  if (sub == "--help") {
+    sub = "bsm_cli";
+    print_top_help();
+  } else if (sub == "sweep") {
+    code = run_sweep_command(argc, argv);
+  } else if (sub == "merge") {
+    code = run_merge_command(argc, argv);
+  } else if (sub == "explore") {
+    code = run_explore_command(argc, argv);
+  } else if (sub == "fuzz") {
+    code = run_fuzz_command(argc, argv);
+  } else if (sub == "bench") {
+    benchcases::register_all();
+    code = core::bench_main(argc - 1, argv + 1);
+  } else {
+    // `run` is an explicit alias for the default mode.
+    code = run_run_command(argc, argv, sub == "run" ? 2 : 1);
+    sub = "run";
   }
-  return run_run_command(argc, argv, first);
+  // Every report on stdout (the JSON documents, run's table, bench's
+  // summary lines) is checked here once: a failed write, say to a full
+  // disk, must not exit 0 with a truncated report.
+  std::cout.flush();
+  if (!std::cout || std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    std::cerr << sub << ": write error on stdout\n";
+    return 2;
+  }
+  return code;
 }
