@@ -223,6 +223,17 @@ int bench_main(int argc, char** argv) {
     return 0;
   }
 
+  // Open the report file before the first case runs: an unusable path
+  // must not cost the whole suite.
+  std::ofstream f;
+  if (json_path != "-") {
+    f.open(json_path);
+    if (!f) {
+      std::cerr << "bench: cannot write " << json_path << "\n";
+      return 2;
+    }
+  }
+
   const auto results = run_benchmarks(cases, opts);
 
   bool suite_ok = true;
@@ -232,11 +243,6 @@ int bench_main(int argc, char** argv) {
   if (json_path == "-") {
     std::cout << reporter.render(results);
   } else {
-    std::ofstream f(json_path);
-    if (!f) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
     f << reporter.render(results);
     if (const std::string error = close_report(f, json_path); !error.empty()) {
       std::cerr << "bench: " << error << "\n";

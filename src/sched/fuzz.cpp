@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/hash.hpp"
+#include "core/envelope.hpp"
 #include "core/sweep.hpp"
 
 namespace bsm::sched {
@@ -328,7 +329,7 @@ FuzzReport Fuzzer::run() {
     std::vector<ScheduleTrace> traces;
     traces.reserve(corpus_.size());
     for (const Entry& entry : corpus_) traces.push_back(entry.trace);
-    report.corpus_saved = save_corpus(opts_.corpus_dir, traces);
+    report.corpus_saved = save_corpus(opts_.corpus_dir, traces, &report.corpus_error);
   }
   return report;
 }
@@ -357,19 +358,28 @@ std::vector<ScheduleTrace> Fuzzer::load_corpus(const std::string& dir) {
   return traces;
 }
 
-std::size_t Fuzzer::save_corpus(const std::string& dir, const std::vector<ScheduleTrace>& traces) {
+std::size_t Fuzzer::save_corpus(const std::string& dir, const std::vector<ScheduleTrace>& traces,
+                                std::string* error) {
   if (dir.empty()) return 0;
   std::error_code ec;
   fs::create_directories(dir, ec);
-  if (ec) return 0;  // a file in the way, or no permission: nothing to save into
+  if (ec) {  // a file in the way, or no permission: nothing to save into
+    if (error != nullptr) *error = "cannot create " + dir;
+    return 0;
+  }
   std::size_t written = 0;
   for (const ScheduleTrace& trace : traces) {
     if (trace.empty()) continue;
     const fs::path path = fs::path(dir) / (to_hex(trace.digest()) + ".trace");
     if (fs::exists(path, ec)) continue;  // content-addressed: already persisted
     std::ofstream out(path);
-    if (!out) continue;
     out << trace.serialize() << "\n";
+    if (std::string failed = core::close_report(out, path.string()); !failed.empty()) {
+      // A partial file would count as persisted and block this trace for good.
+      fs::remove(path, ec);
+      if (error != nullptr) *error = std::move(failed);
+      return written;
+    }
     ++written;
   }
   return written;

@@ -102,7 +102,8 @@ struct FuzzReport : SearchFindings {
   std::size_t execs = 0;          ///< schedules run (excluding shrink re-runs)
   std::size_t corpus_size = 0;    ///< final corpus entries (root included)
   std::size_t corpus_loaded = 0;  ///< seeds adopted from corpus_dir and run
-  std::size_t corpus_saved = 0;   ///< new files written to corpus_dir
+  std::size_t corpus_saved = 0;   ///< new files written in full to corpus_dir
+  std::string corpus_error;       ///< "" or why the save stopped (see save_corpus)
   std::size_t coverage = 0;       ///< distinct trail prefixes reached
   std::size_t interesting = 0;    ///< runs admitted for new coverage (excl. root)
 };
@@ -146,10 +147,12 @@ class Fuzzer {
 
   /// Write each non-empty trace to `dir/<16-hex digest>.trace`, creating
   /// `dir` as needed; existing digests are skipped (content-addressed
-  /// dedup). Returns the number of new files written — zero, never a
-  /// throw, when `dir` cannot be created.
-  static std::size_t save_corpus(const std::string& dir,
-                                 const std::vector<ScheduleTrace>& traces);
+  /// dedup). Each file ends with core::close_report; the first file that
+  /// fails to open or write is removed, saving stops there, and `*error`
+  /// (when non-null) gets "write error on <file>", or "cannot create
+  /// <dir>". Returns the number of new files written in full. Never throws.
+  static std::size_t save_corpus(const std::string& dir, const std::vector<ScheduleTrace>& traces,
+                                 std::string* error);
 
  private:
   struct Entry {

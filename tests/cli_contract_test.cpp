@@ -7,10 +7,12 @@
 //   counterexample replays through `fuzz --replay`;
 //   a replay reports the same rounds_to_termination watermark as `run`;
 //   a --replay or --trace op naming a party id >= n exits 2 as a bad trace;
-//   unusable paths (a directory to merge, a file in the way of --corpus,
-//   an unwritable --trace-out) exit 2 with a one-line error, never abort;
-//   a write that fails midway (here: past a file-size limit) exits 2 and
-//   names its file or stdout.
+//   unusable paths (a directory to merge or to bench --json into, a file
+//   in the way of --corpus, an unwritable --trace-out) exit 2 with a
+//   one-line error, never abort;
+//   a write that fails midway (past a file-size limit, or into /dev/full)
+//   exits 2 and names its file or stdout, and a failed corpus trace is
+//   removed rather than left behind empty.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -19,6 +21,7 @@
 #include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace {
 
@@ -337,8 +340,9 @@ TEST(CliContract, MergeWithNoInputsExitsTwo) {
 }
 
 TEST(CliContract, UnusablePathsExitTwoWithAOneLineError) {
-  // A directory to merge, and a file in the way of --corpus (checked before
-  // the campaign runs), must be structured errors, never an abort.
+  // A directory to merge or to bench --json into, and a file in the way of
+  // --corpus (both checked before any case or campaign runs), must be
+  // structured errors, never an abort.
   const fs::path dir = fs::temp_directory_path() / "bsm_cli_contract_paths";
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -349,6 +353,7 @@ TEST(CliContract, UnusablePathsExitTwoWithAOneLineError) {
       {"merge " + dir.string(), "merge: cannot read " + dir.string() + " (not a regular file)\n"},
       {fuzz + file, "fuzz: cannot create --corpus directory: " + file + "\n"},
       {fuzz + file + "/nested", "fuzz: cannot create --corpus directory: " + file + "/nested\n"},
+      {"bench --json " + dir.string(), "bench: cannot write " + dir.string() + "\n"},
   };
   for (const auto& [args, error] : cases) {
     const auto result = run_cli(args);
@@ -440,7 +445,8 @@ TEST(CliContract, TraceOutUnwritablePathExitsTwo) {
 
 TEST(CliContract, FailedWritesExitTwoAndNameTheTarget) {
   // Under a one-block file-size limit with SIGXFSZ ignored, the write that
-  // crosses the limit fails with EFBIG instead of killing the process. No
+  // crosses the limit fails with EFBIG instead of killing the process;
+  // /dev/full fails every write with ENOSPC, as a full disk does. No
   // writer may then exit 0 with a truncated report.
   const fs::path dir = fs::temp_directory_path() / "bsm_cli_contract_efbig";
   fs::remove_all(dir);
@@ -453,28 +459,61 @@ TEST(CliContract, FailedWritesExitTwoAndNameTheTarget) {
   ASSERT_GT(fs::file_size(shard), 2048U);
   const std::string bench =
       "bench --repeats 1 --filter '^gale_shapley/smoke|^sched/smoke|^sweep/smoke'";
+  const std::string cli = std::string(BSM_CLI_PATH) + " ";
+  const std::string limited = "trap '' XFSZ; ulimit -f 1; ";
+  const std::string run = "run --k 3 --tl 1 --tr 1";
+  const std::string trace = path("t.json");
   struct Case {
+    std::string limit;  ///< shell prefix, empty when the target fails by itself
     std::string args;
     std::string stdout_to;  ///< empty: stdout stays on the captured pipe
     std::string target;     ///< what the error must name
   };
-  const Case cases[] = {
-      {"merge " + shard + " --out " + path("m.jsonl"), "", path("m.jsonl")},
-      {"merge " + shard, path("m.jsonl"), "stdout"},
-      {bench + " --json " + path("b.json"), "", path("b.json")},
-      {bench, path("b.json"), "stdout"},
-      {"sweep --k 2 --seeds 2 --threads 2 --trace-out " + path("t.json"), "", path("t.json")},
-      {"run --k 3 --tl 1 --tr 1 --trace-out " + path("t.json"), "", path("t.json")},
+  std::vector<Case> cases = {
+      {limited, "merge " + shard + " --out " + path("m.jsonl"), "", path("m.jsonl")},
+      {limited, "merge " + shard, path("m.jsonl"), "stdout"},
+      {limited, bench + " --json " + path("b.json"), "", path("b.json")},
+      {limited, bench, path("b.json"), "stdout"},
+      {limited, "sweep --k 2 --seeds 2 --threads 2 --trace-out " + trace, "", trace},
+      {limited, run + " --trace-out " + trace, "", trace},
   };
-  const std::string limited = "trap '' XFSZ; ulimit -f 1; " + std::string(BSM_CLI_PATH) + " ";
+  if (fs::exists("/dev/full")) {
+    cases.push_back({"", "merge " + shard + " --out /dev/full", "", "/dev/full"});
+    cases.push_back({"", bench + " --json /dev/full", "", "/dev/full"});
+    cases.push_back({"", run + " --trace-out /dev/full", "", "/dev/full"});
+    cases.push_back({"", run, "/dev/full", "stdout"});
+  }
   for (const auto& c : cases) {
     // stderr joins the pipe before stdout moves to the file.
     const std::string redirect = c.stdout_to.empty() ? "" : " >" + c.stdout_to;
-    const auto result = run_shell(limited + c.args + " 2>&1" + redirect);
+    const auto result = run_shell(c.limit + cli + c.args + " 2>&1" + redirect);
     EXPECT_EQ(result.exit_code, 2) << c.args << "\n" << result.output;
     EXPECT_NE(result.output.find(": write error on " + c.target + "\n"), std::string::npos)
         << c.args << "\n" << result.output.substr(0, 400);
   }
+
+  // A corpus trace is far smaller than the one block `-f 1` allows, so the
+  // save fails under `-f 0`. A file whose write failed must not stay behind:
+  // it would count as saved and keep its trace out of every later campaign.
+  const std::string fuzz = "fuzz --k 2 --tl 1 --tr 0 --max-execs 64 --corpus ";
+  const std::string corpus = path("corpus");
+  const auto failed = run_shell("trap '' XFSZ; ulimit -f 0; " + cli + fuzz + corpus + " 2>&1");
+  EXPECT_EQ(failed.exit_code, 2) << failed.output;
+  const auto error = failed.output.find("fuzz: write error on " + corpus + "/");
+  ASSERT_NE(error, std::string::npos) << failed.output;
+  EXPECT_NE(failed.output.find(".trace\n", error), std::string::npos) << failed.output;
+  for (const auto& entry : fs::directory_iterator(corpus)) {
+    EXPECT_GT(entry.file_size(), 0U) << "empty trace left behind: " << entry.path();
+  }
+  const auto saved = [](const CliResult& result) {
+    const auto at = result.output.find("\"corpus_saved\": ");
+    return at == std::string::npos ? 0UL : std::stoul(result.output.substr(at + 16));
+  };
+  const auto rerun = run_cli(fuzz + corpus);
+  const auto fresh = run_cli(fuzz + path("fresh"));
+  EXPECT_EQ(rerun.exit_code, 0) << rerun.output;
+  EXPECT_GT(saved(fresh), 0UL);
+  EXPECT_EQ(saved(rerun), saved(fresh));
   fs::remove_all(dir);
 }
 

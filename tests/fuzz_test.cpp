@@ -9,7 +9,7 @@
 //  3. Corpus persistence — save/load round-trips every trace, load
 //     order is name-sorted, re-saving writes zero new files
 //     (digest-keyed, content-addressed dedup), and a directory that
-//     cannot be created saves nothing instead of throwing.
+//     cannot be created saves nothing and says so instead of throwing.
 //  4. The engineered deep violation — on k=2/tl=1/tr=0 under the liars
 //     battery (workload seed 1) the minimal beyond-envelope violation
 //     needs 3 ops (exhaustively verified: depths 1 and 2 are clean), so
@@ -85,6 +85,7 @@ void expect_reports_equal(const FuzzReport& a, const FuzzReport& b) {
   EXPECT_EQ(a.corpus_size, b.corpus_size);
   EXPECT_EQ(a.corpus_loaded, b.corpus_loaded);
   EXPECT_EQ(a.corpus_saved, b.corpus_saved);
+  EXPECT_EQ(a.corpus_error, b.corpus_error);
   EXPECT_EQ(a.coverage, b.coverage);
   EXPECT_EQ(a.interesting, b.interesting);
   EXPECT_EQ(a.violations, b.violations);
@@ -242,8 +243,8 @@ TEST(FuzzCorpus, SaveLoadRoundTripsAndDedups) {
   traces.push_back(b);
   traces.push_back(a);  // duplicate: must collapse to one file
 
-  EXPECT_EQ(Fuzzer::save_corpus(dir, traces), 2U);
-  EXPECT_EQ(Fuzzer::save_corpus(dir, traces), 0U) << "re-save must dedup by digest";
+  EXPECT_EQ(Fuzzer::save_corpus(dir, traces, nullptr), 2U);
+  EXPECT_EQ(Fuzzer::save_corpus(dir, traces, nullptr), 0U) << "re-save must dedup by digest";
 
   const auto loaded = Fuzzer::load_corpus(dir);
   ASSERT_EQ(loaded.size(), 2U);
@@ -266,8 +267,11 @@ TEST(FuzzCorpus, SaveIntoAFileWritesNothingAndNeverThrows) {
   std::ofstream(path) << "not a directory\n";
   ScheduleTrace trace;
   trace.ops.push_back({ScheduleOp::Kind::Drop, 1, 1, 2, 1});
-  EXPECT_EQ(Fuzzer::save_corpus(path, {trace}), 0U);
-  EXPECT_EQ(Fuzzer::save_corpus(path + "/nested", {trace}), 0U);
+  std::string error;
+  EXPECT_EQ(Fuzzer::save_corpus(path, {trace}, &error), 0U);
+  EXPECT_EQ(error, "cannot create " + path);
+  EXPECT_EQ(Fuzzer::save_corpus(path + "/nested", {trace}, &error), 0U);
+  EXPECT_EQ(error, "cannot create " + path + "/nested");
   std::filesystem::remove(path);
 }
 
@@ -375,7 +379,7 @@ TEST(FuzzDeepViolation, ExplorerSeedsAccelerateTheHunt) {
   ScheduleTrace seed;
   seed.ops.push_back({ScheduleOp::Kind::Drop, 1, 1, 0, 1});
   seed.ops.push_back({ScheduleOp::Kind::Drop, 1, 1, 2, 1});
-  ASSERT_EQ(Fuzzer::save_corpus(dir, {seed}), 1U);
+  ASSERT_EQ(Fuzzer::save_corpus(dir, {seed}, nullptr), 1U);
 
   auto opts = deep_options();
   opts.corpus_dir = dir;

@@ -1,7 +1,10 @@
 // Tests for the matching substrate: preference validation/codec,
 // Gale-Shapley correctness (against the brute-force oracle), stability
-// analysis, and the workload generators.
+// analysis, the workload generators, and how the complete-list model
+// treats incomplete ones.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/rng.hpp"
 #include "matching/gale_shapley.hpp"
@@ -200,6 +203,91 @@ TEST(Stability, AllStableMatchingsNonEmptyOnRandom) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     EXPECT_FALSE(all_stable_matchings(random_profile(3, seed)).empty());
   }
+}
+
+// Incomplete lists against the paper's fully-ordered model: a partial list
+// is refused, never matched around, and each instance below is the one an
+// incomplete-list (SMI) solver would take, with every list completed.
+
+// Appends each party's unlisted opposite-side ids to its list, ascending.
+PreferenceProfile completed(const std::vector<PreferenceList>& partial) {
+  const auto k = static_cast<std::uint32_t>(partial.size() / 2);
+  PreferenceProfile p(k);
+  for (PartyId id = 0; id < 2 * k; ++id) {
+    PreferenceList list = partial[id];
+    for (const PartyId c : default_preference_list(side_of(id, k), k)) {
+      if (std::find(list.begin(), list.end(), c) == list.end()) list.push_back(c);
+    }
+    p.set(id, std::move(list));
+  }
+  return p;
+}
+
+TEST(Incomplete, ConsistencyRequiresMutualAcceptability) {
+  // Complete lists make every cross pair mutually acceptable; a profile in
+  // which a party accepts nobody (its list unset) is not complete, and
+  // Gale-Shapley refuses it.
+  EXPECT_TRUE(completed({{2, 3}, {2}, {1, 0}, {0}}).complete());
+  PreferenceProfile bad(2);
+  bad.set(0, {2, 3});
+  bad.set(2, {0, 1});
+  bad.set(3, {0, 1});
+  EXPECT_FALSE(bad.complete());
+  EXPECT_THROW((void)gale_shapley(bad), std::logic_error);
+}
+
+TEST(Incomplete, SetRejectsMalformedLists) {
+  PreferenceProfile p(2);
+  EXPECT_THROW(p.set(0, {1, 0}), std::logic_error);  // own side
+  EXPECT_THROW(p.set(0, {2, 2}), std::logic_error);  // duplicate
+  EXPECT_THROW(p.set(0, {2, 9}), std::logic_error);  // out of range
+  EXPECT_THROW(p.set(0, {2}), std::logic_error);     // partial
+  EXPECT_THROW(p.set(0, {}), std::logic_error);      // accepts nobody
+  EXPECT_TRUE(p.list(0).empty());
+}
+
+TEST(Incomplete, ExtendedGaleShapleyOnTinyInstance) {
+  // 0 proposes to 2, which holds it until 1 proposes; 0 moves on to 3. The
+  // completed tails are never reached, so the pairs are the SMI ones.
+  const auto p = completed({{2, 3}, {2}, {1, 0}, {0}});
+  const auto result = gale_shapley(p);
+  EXPECT_EQ(result.matching, (Matching{3, 2, 1, 0}));
+  EXPECT_EQ(result.proposals, 3U);
+  EXPECT_TRUE(is_stable(p, result.matching));
+}
+
+TEST(Incomplete, UnmatchablePartiesStayAlone) {
+  // Under SMI, 1 (accepting nobody) and 3 (acceptable to nobody) stay alone
+  // beside 0-2. With complete lists that outcome is blocked by (1, 3), and
+  // Gale-Shapley keeps 0-2 and pairs 1-3.
+  const auto p = completed({{2}, {}, {0}, {}});
+  const Matching alone{2, kNobody, 0, kNobody};
+  EXPECT_FALSE(is_perfect_matching(alone, 2));
+  EXPECT_EQ(blocking_pairs(p, alone), (std::vector<std::pair<PartyId, PartyId>>{{1, 3}}));
+  EXPECT_EQ(gale_shapley(p).matching, (Matching{2, 3, 0, 1}));
+}
+
+TEST(Incomplete, EmptyProfileIsTriviallyStable) {
+  // With complete lists, only the empty market (k = 0) has no acceptable
+  // pair: nothing is proposed and the empty matching is stable.
+  const PreferenceProfile p(0);
+  EXPECT_TRUE(p.complete());
+  const auto result = gale_shapley(p);
+  EXPECT_EQ(result.proposals, 0U);
+  EXPECT_TRUE(result.matching.empty());
+  EXPECT_TRUE(is_stable(p, result.matching));
+}
+
+TEST(Incomplete, FullDensityMatchesClassicGaleShapley) {
+  // Density 1.0 is the classic problem: completion changes no list, and
+  // everyone is matched stably.
+  const auto p = random_profile(4, 5);
+  std::vector<PreferenceList> lists;
+  for (PartyId id = 0; id < 8; ++id) lists.push_back(p.list(id));
+  const auto result = gale_shapley(p);
+  EXPECT_EQ(gale_shapley(completed(lists)).matching, result.matching);
+  for (PartyId id = 0; id < 8; ++id) EXPECT_NE(result.matching[id], kNobody);
+  EXPECT_TRUE(is_stable(p, result.matching));
 }
 
 }  // namespace

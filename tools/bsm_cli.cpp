@@ -1005,7 +1005,10 @@ int run_fuzz_command(int argc, char** argv) {
             << ", \"corpus_saved\": " << report.corpus_saved
             << ", \"coverage\": " << report.coverage << ", \"interesting\": " << report.interesting
             << ", \"violations\": " << report.violations << "},\n";
-  return obs_session.exit_code("fuzz", print_findings(report, metrics_part));
+  const int code = obs_session.exit_code("fuzz", print_findings(report, metrics_part));
+  if (report.corpus_error.empty()) return code;
+  std::cerr << "fuzz: " << report.corpus_error << "\n";
+  return 2;
 }
 
 // --------------------------------------------------------------- run mode
