@@ -1,11 +1,12 @@
 // Delivery-schedule case group — the measurements behind src/sched:
 //
 //   sched/sync_null_baseline vs sched/sync_policy_hook — the same grid
-//   with no policy installed vs an explicit SynchronousPolicy. The pair
-//   quantifies the policy code path's overhead (per-envelope verdicts,
-//   merge, stable sort) AND proves transcript preservation in the
-//   artifact: both cases carry the identical digest in
-//   BENCH_results.json, and the hook case cross-checks equality itself.
+//   with no policy installed vs a ScriptedPolicy replaying the empty trace
+//   (every envelope delivered at rank 0, no stall). The pair quantifies
+//   the policy code path's overhead (per-envelope verdicts, merge, stable
+//   sort) AND proves transcript preservation in the artifact: both cases
+//   carry the identical digest in BENCH_results.json, and the hook case
+//   cross-checks equality itself.
 //
 //   sched/random_delay_sweep — a (setting x schedule-seed) fan-out under
 //   seeded in-envelope RandomDelay schedules on the work-stealing sweep
@@ -62,7 +63,9 @@ using core::BenchRun;
       [install_policy](const core::ScenarioSpec& cell) -> std::optional<core::RunOutcome> {
         if (!core::solvable(cell.config)) return std::nullopt;
         auto spec = core::to_run_spec(cell);
-        if (install_policy) spec.policy = std::make_unique<sched::SynchronousPolicy>();
+        if (install_policy) {
+          spec.policy = std::make_unique<sched::ScriptedPolicy>(sched::ScheduleTrace{});
+        }
         return core::run_bsm(std::move(spec));
       },
       {.threads = ctx.threads});

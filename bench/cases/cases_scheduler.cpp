@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cases/cases.hpp"
@@ -153,9 +154,11 @@ void fold(BenchRun& run, const std::vector<core::CellResult>& results) {
 /// Run stream_cells() as `shards` sequential JSONL shard streams, then
 /// merge. The in-process back-to-back execution stands in for the fleet;
 /// the digest folds each shard's emitted-line digest plus the merged
-/// bytes, so any byte drift between repeats fails the determinism
-/// cross-check (cross-shard-count byte identity is tests/shard_test.cpp's
-/// job — here a reassembly mismatch already fails via merge_jsonl).
+/// bytes after the header line (which carries the build's git SHA), so
+/// any byte drift between repeats fails the determinism cross-check and
+/// the digest does not move from commit to commit (cross-shard-count byte
+/// identity is tests/shard_test.cpp's job — here a reassembly mismatch
+/// already fails via merge_jsonl).
 [[nodiscard]] BenchRun run_stream(const BenchContext& ctx, std::uint32_t shards) {
   const auto cells = stream_cells();
   BenchRun run;
@@ -182,9 +185,10 @@ void fold(BenchRun& run, const std::vector<core::CellResult>& results) {
   run.ok &= merged.has_value();
   if (merged.has_value()) {
     run.bytes += merged->size();
-    run.digest = hash_combine(
-        run.digest, fnv1a64(std::span<const std::uint8_t>(
-                        reinterpret_cast<const std::uint8_t*>(merged->data()), merged->size())));
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(merged->data());
+    const std::size_t header_end = merged->find('\n');
+    const std::size_t body = header_end == std::string::npos ? 0 : header_end + 1;
+    run.digest = hash_combine(run.digest, fnv1a64(std::span(bytes + body, merged->size() - body)));
   }
   return run;
 }

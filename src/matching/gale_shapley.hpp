@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/types.hpp"
@@ -26,50 +25,5 @@ struct GaleShapleyResult {
 
 /// Run A_G-S on a complete profile. Requires profile.complete().
 [[nodiscard]] GaleShapleyResult gale_shapley(const PreferenceProfile& profile);
-
-/// A_G-S over any preference view (see matching/view.hpp): the algorithm
-/// only ever asks "l's next candidate" (view.at) and "does r prefer a over
-/// b" (view.prefers), so it runs identically over a materialized profile
-/// and a lazy seeded one. Live memory is O(n) — for LazyProfile at
-/// n = 10^5..10^6 this is the big-n fast path; no rank table of any kind
-/// is built (the old O(k^2) right-side rank table is subsumed by the
-/// views' O(1) rank queries). The view must denote a *complete* profile;
-/// completeness is not re-validated here (gale_shapley() validates the
-/// materialized case).
-template <typename View>
-[[nodiscard]] GaleShapleyResult gale_shapley_over(const View& view) {
-  const std::uint32_t k = view.k();
-
-  GaleShapleyResult result;
-  result.matching.assign(2 * k, kNobody);
-
-  // next_proposal[l] = index into l's list of the next candidate to try.
-  std::vector<std::uint32_t> next_proposal(k, 0);
-  std::deque<PartyId> free_left;
-  for (PartyId l = 0; l < k; ++l) free_left.push_back(l);
-
-  while (!free_left.empty()) {
-    const PartyId l = free_left.front();
-    free_left.pop_front();
-    require(next_proposal[l] < k, "gale_shapley: exhausted list (impossible for complete lists)");
-    const PartyId r = view.at(l, next_proposal[l]++);
-    ++result.proposals;
-
-    const PartyId current = result.matching[r];
-    if (current == kNobody) {
-      result.matching[r] = l;
-      result.matching[l] = r;
-    } else if (view.prefers(r, l, current)) {
-      // r divorces `current` and accepts l.
-      result.matching[current] = kNobody;
-      free_left.push_back(current);
-      result.matching[r] = l;
-      result.matching[l] = r;
-    } else {
-      free_left.push_back(l);  // rejected; l will propose further down its list
-    }
-  }
-  return result;
-}
 
 }  // namespace bsm::matching

@@ -79,17 +79,12 @@ class PreferenceProfile {
     return inv[la] < inv[lb];
   }
 
-  /// Hot-loop variants of rank()/prefers() with the argument validation
-  /// elided: two index loads and a compare, like the flat rank table they
-  /// replaced. Preconditions (caller's responsibility): `id` has a valid
-  /// list and `a`/`b`/`candidate` are in-range opposite-side ids — exactly
-  /// what gale_shapley() establishes once via complete() before the
-  /// proposal loop, instead of re-checking on each of its O(k^2) queries.
-  [[nodiscard]] std::uint32_t rank_unchecked(PartyId id, PartyId candidate) const {
-    const auto& inv = inverse_for(id);
-    return inv[candidate < k_ ? candidate : candidate - k_];
-  }
-
+  /// Hot-loop variant of prefers() with the argument validation elided:
+  /// two index loads and a compare, like the flat rank table it replaced.
+  /// Preconditions (caller's responsibility): `id` has a valid list and
+  /// `a`/`b` are in-range opposite-side ids — exactly what gale_shapley()
+  /// establishes once via complete() before the proposal loop, instead of
+  /// re-checking on each of its O(k^2) queries.
   [[nodiscard]] bool prefers_unchecked(PartyId id, PartyId a, PartyId b) const {
     const auto& inv = inverse_for(id);
     return inv[a < k_ ? a : a - k_] < inv[b < k_ ? b : b - k_];

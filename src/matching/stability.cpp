@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "matching/view.hpp"
-
 namespace bsm::matching {
 
 bool is_perfect_matching(const Matching& m, std::uint32_t k) {
@@ -19,7 +17,19 @@ bool is_perfect_matching(const Matching& m, std::uint32_t k) {
 
 std::vector<std::pair<PartyId, PartyId>> blocking_pairs(const PreferenceProfile& profile,
                                                         const Matching& m) {
-  return blocking_pairs_over(MaterializedView(profile), m);
+  const std::uint32_t k = profile.k();
+  require(m.size() == 2 * k, "blocking_pairs: matching size mismatch");
+  std::vector<std::pair<PartyId, PartyId>> out;
+  for (PartyId l = 0; l < k; ++l) {
+    for (PartyId r = k; r < 2 * k; ++r) {
+      if (m[l] == r) continue;
+      // Unmatched parties prefer any listed candidate over being alone.
+      const bool l_wants = m[l] == kNobody || profile.prefers_unchecked(l, r, m[l]);
+      const bool r_wants = m[r] == kNobody || profile.prefers_unchecked(r, l, m[r]);
+      if (l_wants && r_wants) out.emplace_back(l, r);
+    }
+  }
+  return out;
 }
 
 bool is_stable(const PreferenceProfile& profile, const Matching& m) {

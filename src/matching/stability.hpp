@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "matching/gale_shapley.hpp"
 #include "matching/preferences.hpp"
@@ -23,56 +22,6 @@ namespace bsm::matching {
 
 /// Perfect and with no blocking pair.
 [[nodiscard]] bool is_stable(const PreferenceProfile& profile, const Matching& m);
-
-/// blocking_pairs over any preference view (see matching/view.hpp): each of
-/// the k^2 cross pairs costs O(1) rank queries, so the exhaustive scan is
-/// O(k^2) total for materialized and lazy profiles alike.
-template <typename View>
-[[nodiscard]] std::vector<std::pair<PartyId, PartyId>> blocking_pairs_over(const View& view,
-                                                                           const Matching& m) {
-  const std::uint32_t k = view.k();
-  require(m.size() == 2 * k, "blocking_pairs: matching size mismatch");
-  std::vector<std::pair<PartyId, PartyId>> out;
-  for (PartyId l = 0; l < k; ++l) {
-    for (PartyId r = k; r < 2 * k; ++r) {
-      if (m[l] == r) continue;
-      // Unmatched parties prefer any listed candidate over being alone.
-      const bool l_wants = m[l] == kNobody || view.prefers(l, r, m[l]);
-      const bool r_wants = m[r] == kNobody || view.prefers(r, l, m[r]);
-      if (l_wants && r_wants) out.emplace_back(l, r);
-    }
-  }
-  return out;
-}
-
-/// Perfect and with no blocking pair, over any view.
-template <typename View>
-[[nodiscard]] bool is_stable_over(const View& view, const Matching& m) {
-  return is_perfect_matching(m, view.k()) && blocking_pairs_over(view, m).empty();
-}
-
-/// Monte-Carlo stability probe for big-n runs, where the exhaustive k^2
-/// scan is infeasible: tests `samples` uniformly seeded cross pairs and
-/// counts the blocking ones. Zero is evidence, not proof — the exhaustive
-/// checkers above remain the ground truth at paper scale.
-template <typename View>
-[[nodiscard]] std::uint64_t sampled_blocking_pairs_over(const View& view, const Matching& m,
-                                                        std::uint64_t samples,
-                                                        std::uint64_t seed) {
-  const std::uint32_t k = view.k();
-  require(m.size() == 2 * k, "sampled_blocking_pairs: matching size mismatch");
-  Rng rng(seed);
-  std::uint64_t blocking = 0;
-  for (std::uint64_t i = 0; i < samples; ++i) {
-    const PartyId l = static_cast<PartyId>(rng.below(k));
-    const PartyId r = static_cast<PartyId>(k + rng.below(k));
-    if (m[l] == r) continue;
-    const bool l_wants = m[l] == kNobody || view.prefers(l, r, m[l]);
-    const bool r_wants = m[r] == kNobody || view.prefers(r, l, m[r]);
-    blocking += l_wants && r_wants;
-  }
-  return blocking;
-}
 
 /// Exhaustive enumeration of all stable matchings (test oracle; k <= 6).
 [[nodiscard]] std::vector<Matching> all_stable_matchings(const PreferenceProfile& profile);

@@ -14,9 +14,10 @@
 //
 // A null policy is not the same code path as an installed
 // always-deliver policy: the engine keeps the historical zero-cost path
-// (move sends straight into the mailbox) when no policy is set, and the
-// sched layer's SynchronousPolicy is contractually transcript-identical to
-// it (asserted by tests/sched_test.cpp).
+// (move sends straight into the mailbox) when no policy is set, and an
+// installed sched::ScriptedPolicy replaying the empty trace (every verdict
+// Deliver, rank 0) is contractually transcript-identical to it (asserted
+// by tests/sched_test.cpp and tests/delivery_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -56,7 +57,7 @@ struct DeliveryVerdict {
   };
 
   Action action = Action::Deliver;
-  Round delay = 0;          ///< Delay only: rounds past now, >= 1
+  Round delay = 0;          ///< Delay only: rounds past now, >= 1 (due round saturates)
   std::uint32_t rank = 0;   ///< inbox group rank; 0 keeps sender order
 
   [[nodiscard]] static DeliveryVerdict deliver(std::uint32_t rank = 0) {

@@ -380,10 +380,13 @@ void Engine::assemble_with_policy() {
       case DeliveryVerdict::Action::Deliver:
         merged.push_back({env, round_, v.rank, {}});
         break;
-      case DeliveryVerdict::Action::Delay:
-        carried_.push_back({env, round_ + std::max<Round>(v.delay, 1), v.rank,
-                            Bytes(env.payload.begin(), env.payload.end())});
+      case DeliveryVerdict::Action::Delay: {
+        // Saturate: a delay past the last round never comes due.
+        const Round by = std::max<Round>(v.delay, 1);
+        const Round due = by > UINT32_MAX - round_ ? UINT32_MAX : round_ + by;
+        carried_.push_back({env, due, v.rank, Bytes(env.payload.begin(), env.payload.end())});
         break;
+      }
       case DeliveryVerdict::Action::Drop:
         ++stats_.dropped_messages;
         stats_.dropped_bytes += env.payload.size();

@@ -59,21 +59,6 @@ struct PolicyDesc {
   [[nodiscard]] bool is_synchronous() const noexcept { return kind == Kind::Synchronous; }
 };
 
-/// Always deliver, native order. Installing it exercises the policy code
-/// path (merge + stable sort) while remaining transcript-identical to the
-/// engine's null-policy fast path — the overhead the sched/ bench group
-/// measures and the equivalence tests/sched_test.cpp proves.
-class SynchronousPolicy final : public net::DeliveryPolicy {
- public:
-  [[nodiscard]] net::DeliveryVerdict on_envelope(Round, const net::Envelope&) override {
-    return net::DeliveryVerdict::deliver();
-  }
-  [[nodiscard]] const net::FaultEnvelope& envelope() const override { return envelope_; }
-
- private:
-  net::FaultEnvelope envelope_;  ///< empty: touches nothing
-};
-
 /// Seeded bounded delays: each envelope on a covered channel is delayed
 /// with probability delay_permille/1000, by 1..max_delay rounds, all drawn
 /// from one explicit rng stream.

@@ -113,7 +113,11 @@ TEST(CliContract, BadValuesExitTwo) {
         "sweep --k 2,0", "sweep --k 2 --tl 3", "fuzz --batch 0",
         // A run hosts n^2 broadcast instances: k is capped at 64 everywhere
         // (sweep's list already was), not only where memory runs out.
-        "run --k 65", "explore --k 65", "fuzz --k 65"}) {
+        "run --k 65", "explore --k 65", "fuzz --k 65",
+        // An empty list names no cell (or silently means the default):
+        // every list flag refuses it.
+        "sweep --k ,", "sweep --tl ,", "sweep --tr ,", "sweep --topology ,", "sweep --battery ,",
+        "explore --ops ,", "fuzz --ops ,"}) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.exit_code, 2) << args;
   }

@@ -74,7 +74,7 @@ using Arrival = std::tuple<Round, Round, PartyId, PartyId>;
 
 TEST(Delivery, SynchronousPolicyMatchesNullPolicyExactly) {
   Engine fast = flood_engine(nullptr);
-  Engine via_policy = flood_engine(std::make_unique<sched::SynchronousPolicy>());
+  Engine via_policy = flood_engine(std::make_unique<sched::ScriptedPolicy>(sched::ScheduleTrace{}));
   fast.run_guarded(kRounds);
   via_policy.run_guarded(kRounds);
 
@@ -145,6 +145,22 @@ TEST(Delivery, CarriedPastTheEndStaysPendingAndIsConserved) {
   // or in flight from the final round.
   EXPECT_EQ(stats.messages, stats.delivered_messages + stats.dropped_messages +
                                 engine.pending_carried() + last_sends);
+}
+
+TEST(Delivery, DelayPastTheLastRoundSaturatesInsteadOfWrapping) {
+  // round + 2^32 - 1 overflows a 32-bit Round: the due round must saturate,
+  // or it wraps to an early round and the "delayed" envelope arrives next
+  // round. Saturated, it stays carried like any delay past the horizon.
+  Engine far = flood_engine(scripted("delay@1:1>0*4294967295"));
+  Engine past = flood_engine(scripted("delay@1:1>0*1000000"));
+  far.run_guarded(kRounds);
+  past.run_guarded(kRounds);
+
+  for (PartyId id = 0; id < 2 * kParties; ++id) {
+    EXPECT_EQ(far.view_hash(id), past.view_hash(id)) << "party " << id;
+  }
+  EXPECT_EQ(far.pending_carried(), 1U);
+  EXPECT_EQ(past.pending_carried(), 1U);
 }
 
 TEST(Delivery, PerChannelDeliveredCountersDecomposeTheTotal) {

@@ -1,10 +1,11 @@
-// Tests for the matching substrate: preference validation/codec,
-// Gale-Shapley correctness (against the brute-force oracle), stability
-// analysis, the workload generators, and how the complete-list model
-// treats incomplete ones.
+// Tests for the matching substrate: preference validation/codec, the
+// O(1) rank index, Gale-Shapley correctness (against the brute-force
+// oracle), stability analysis, the workload generators, and how the
+// complete-list model treats incomplete ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "matching/gale_shapley.hpp"
@@ -64,6 +65,34 @@ TEST(Preferences, RankAndPrefers) {
   EXPECT_EQ(p.rank(0, 2), 1U);
   EXPECT_TRUE(p.prefers(0, 3, 2));
   EXPECT_FALSE(p.prefers(0, 2, 3));
+}
+
+TEST(MaterializedProfile, RankIndexInvalidatesOnSet) {
+  // The O(1) inverse-rank index is built lazily and must be rebuilt after
+  // set() replaces a list — a stale index would report the old order.
+  PreferenceProfile p = random_profile(6, 21);
+  const PartyId id = 2;
+  EXPECT_EQ(p.rank(id, p.list(id)[0]), 0U);  // forces the index build
+  PreferenceList reversed = p.list(id);
+  std::reverse(reversed.begin(), reversed.end());
+  p.set(id, reversed);
+  for (std::uint32_t pos = 0; pos < 6; ++pos) {
+    ASSERT_EQ(p.rank(id, reversed[pos]), pos);
+  }
+  // Same-side and unlisted candidates still throw (no silent aliasing
+  // through the mod-k index).
+  EXPECT_THROW((void)p.rank(0, 1), std::logic_error);
+  EXPECT_THROW((void)p.rank(0, 100), std::logic_error);
+}
+
+TEST(MaterializedProfile, RankAgreesWithLinearScan) {
+  const PreferenceProfile p = random_profile(17, 4);
+  for (PartyId id = 0; id < p.n(); ++id) {
+    const auto& list = p.list(id);
+    for (std::uint32_t pos = 0; pos < p.k(); ++pos) {
+      ASSERT_EQ(p.rank(id, list[pos]), pos);
+    }
+  }
 }
 
 TEST(GaleShapley, TextbookInstance) {

@@ -1,8 +1,9 @@
 // The delivery-schedule subsystem's contracts:
 //
 //  1. Transcript preservation — the synchronous schedule (null policy OR
-//     an installed SynchronousPolicy) reproduces the engine's historical
-//     transcripts byte for byte, full RunOutcome equality included.
+//     an installed ScriptedPolicy replaying the empty trace) reproduces the
+//     engine's historical transcripts byte for byte, full RunOutcome
+//     equality included.
 //  2. Schedule determinism — the same PolicyDesc seed yields byte-identical
 //     transcripts across runs and across sweep thread counts.
 //  3. The explorer — finds and minimizes a counterexample trace on a
@@ -71,19 +72,20 @@ TEST(ScheduleTrace, ParseRejectsJunk) {
 // -------------------------------------------------- transcript preservation
 
 TEST(SchedPolicy, SynchronousPolicyIsTranscriptIdentical) {
-  // Null policy (the engine fast path) vs an installed SynchronousPolicy:
-  // the policy code path (verdicts, merge, stable sort) must not move a
-  // single byte. Full RunOutcome equality covers view hashes, decisions,
-  // property verdicts, and every traffic counter.
+  // Null policy (the engine fast path) vs an installed ScriptedPolicy
+  // with an empty trace (every verdict Deliver, rank 0): the policy code
+  // path (verdicts, merge, stable sort) must not move a single byte. Full
+  // RunOutcome equality covers view hashes, decisions, property verdicts,
+  // and every traffic counter.
   const auto scenario = base_scenario(3, 1, 1, Battery::Liars);
 
   auto fast = core::run_bsm(core::to_run_spec(scenario));
   auto spec = core::to_run_spec(scenario);
   ASSERT_EQ(spec.policy, nullptr) << "synchronous desc must materialize the null fast path";
-  spec.policy = std::make_unique<sched::SynchronousPolicy>();
+  spec.policy = std::make_unique<sched::ScriptedPolicy>(sched::ScheduleTrace{});
   const auto via_policy = core::run_bsm(std::move(spec));
 
-  EXPECT_TRUE(fast == via_policy) << "SynchronousPolicy changed the transcript";
+  EXPECT_TRUE(fast == via_policy) << "the empty-trace policy changed the transcript";
 }
 
 TEST(SchedPolicy, DefaultGridIsUnchangedByTheScheduleAxis) {

@@ -325,6 +325,7 @@ struct SweepCli {
                           if (!parsed) return "unknown topology: " + t;
                           kinds.push_back(*parsed);
                         }
+                        if (kinds.empty()) return "expected at least one topology";
                         o.grid.topologies = std::move(kinds);
                         return std::nullopt;
                       }),
@@ -352,6 +353,7 @@ struct SweepCli {
       }
       values.push_back(static_cast<std::uint32_t>(*parsed));
     }
+    if (values.empty()) return "expected at least one value";
     out = std::move(values);
     return std::nullopt;
   };
@@ -376,6 +378,7 @@ struct SweepCli {
           if (!battery) return "unknown battery: " + b;
           batteries.push_back(*battery);
         }
+        if (batteries.empty()) return "expected at least one battery";
         o.grid.batteries = std::move(batteries);
         return std::nullopt;
       }));
@@ -406,7 +409,6 @@ struct SweepCli {
       [&o, u32_list](const std::string& v) -> std::optional<std::string> {
         std::vector<std::uint32_t> values;
         if (auto reason = u32_list(v, 0, values)) return reason;
-        if (values.empty()) return "expected at least one GST value";
         o.gsts.assign(values.begin(), values.end());
         return std::nullopt;
       }));
@@ -698,6 +700,7 @@ void add_search_flags(cli::Subcommand& sub, SearchCli& o, Options& opts,
             return "unknown op: " + op + ", expected drop|delay|reorder";
           }
         }
+        if (!drop && !delay && !reorder) return "expected at least one of drop|delay|reorder";
         opts.allow_drop = drop;
         opts.allow_delay = delay;
         opts.allow_reorder = reorder;
