@@ -202,51 +202,11 @@ using core::BenchRun;
   return run;
 }
 
-/// The partial-synchrony fan-out: every solvable setting repeated under a
-/// (gst x gst-seed) grid of EventualSynchrony schedules. ok doubles as
-/// the termination-bound gate — every ran cell must terminate with all
-/// properties inside deadline + gst — and the digest folds the liveness
-/// verdicts, so a rounds_to_termination shift is a visible digest change.
-[[nodiscard]] BenchRun run_gst_sweep(const BenchContext& ctx, std::uint64_t seeds,
-                                     std::vector<Round> gsts, std::uint64_t seeds_per_gst) {
-  core::SweepGrid grid;
-  grid.ks = {2, 3};
-  grid.batteries = {core::Battery::Silent, core::Battery::Liars};
-  grid.seeds.clear();
-  for (std::uint64_t s = 1; s <= seeds; ++s) grid.seeds.push_back(s);
-  sched::PolicyDesc base;
-  base.max_delay = 2;
-  grid.scheds = core::gst_axis(base, gsts, seeds_per_gst);
-  const auto cells = grid.cells();
-
-  core::OracleCache cache;
-  core::SweepOptions opts{.threads = ctx.threads};
-  opts.oracle = &cache;
-  const auto results = core::run_sweep(cells, opts);
-
-  BenchRun run;
-  run.cells = cells.size();
-  for (const auto& cell : results) {
-    run.digest = hash_combine(run.digest, splitmix64(cell.solvable));
-    if (!cell.outcome.has_value()) continue;
-    const auto& out = *cell.outcome;
-    run.rounds += out.rounds;
-    run.messages += out.traffic.messages;
-    run.bytes += out.traffic.bytes;
-    run.ok &= out.report.all();
-    run.ok &= out.terminated && !out.round_limit_hit;
-    run.ok &= out.rounds_to_termination <= out.rounds + cell.scenario.sched.gst;
-    run.digest = digest_outcome(run.digest, out);
-    run.digest = hash_combine(run.digest, splitmix64(out.rounds_to_termination));
-  }
-  return run;
-}
-
 /// The round-limit guard under a never-delivering stall wall: each cell
 /// must come back as a structured round_limit_hit verdict (never a hang),
 /// and the guard cost per starved engine round is the measured rate.
-[[nodiscard]] BenchRun run_gst_round_limit(const BenchContext& ctx, std::uint64_t seeds,
-                                           Round max_rounds) {
+[[nodiscard]] BenchRun run_round_limit(const BenchContext& ctx, std::uint64_t seeds,
+                                       Round max_rounds) {
   std::vector<core::ScenarioSpec> cells;
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     core::ScenarioSpec cell;
@@ -301,22 +261,8 @@ void register_sched() {
                           run.digest = hash_combine(run.digest, deep.digest);
                           return run;
                         }});
-  core::register_bench({"sched/gst_sweep", [](const BenchContext& ctx) {
-                          return run_gst_sweep(ctx, 6, {0, 1, 2, 4}, 2);
-                        }});
-  core::register_bench({"sched/gst_round_limit", [](const BenchContext& ctx) {
-                          return run_gst_round_limit(ctx, 16, 256);
-                        }});
-  core::register_bench({"sched/gst_smoke", [](const BenchContext& ctx) {
-                          // The CI smoke slice: a trimmed (gst x seed) grid
-                          // plus the round-limit guard canary.
-                          BenchRun run = run_gst_sweep(ctx, 2, {0, 2}, 2);
-                          const BenchRun guard = run_gst_round_limit(ctx, 4, 64);
-                          run.cells += guard.cells;
-                          run.ok &= guard.ok;
-                          run.digest = hash_combine(run.digest, guard.digest);
-                          return run;
-                        }});
+  core::register_bench({"sched/round_limit",
+                        [](const BenchContext& ctx) { return run_round_limit(ctx, 16, 256); }});
   core::register_bench({"sched/smoke", [](const BenchContext& ctx) {
                           BenchRun run = run_explorer(ctx, 1, 128);
                           const BenchRun sweep = run_delay_sweep(ctx, 1, 2);

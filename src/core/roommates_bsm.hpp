@@ -4,7 +4,7 @@
 // One set of n agents (n even) in a fully-connected synchronous network,
 // up to t byzantine. Unlike two-sided stable matching, a stable matching
 // may not exist, so (as the paper notes) the properties need refinement.
-// Our choices, documented also in DESIGN.md:
+// Our choices:
 //
 //  (Termination)      every honest agent outputs an agent or nobody;
 //  (Symmetry)         honest matches are reciprocal;

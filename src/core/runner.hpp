@@ -64,11 +64,10 @@ struct RunOutcome {
 
   /// Round-complexity verdict. `terminated` = every honest party decided;
   /// `rounds_to_termination` = engine rounds (protocol rounds + stalled
-  /// rounds) consumed up to the first round boundary where they all had —
-  /// the partial-synchrony liveness measure the GST batteries bound by
-  /// deadline + gst. `round_limit_hit` = the run was cut off by the
-  /// max_rounds guard (which forces terminated == false: someone was
-  /// still undecided when the guard fired).
+  /// rounds) consumed up to the first round boundary where they all had.
+  /// `round_limit_hit` = the run was cut off by the max_rounds guard
+  /// (which forces terminated == false: someone was still undecided when
+  /// the guard fired).
   bool terminated = false;
   Round rounds_to_termination = 0;
   bool round_limit_hit = false;

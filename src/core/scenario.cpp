@@ -1,6 +1,5 @@
 #include "core/scenario.hpp"
 
-#include <algorithm>
 #include <set>
 
 #include "adversary/shims.hpp"
@@ -180,23 +179,6 @@ std::vector<sched::PolicyDesc> schedule_axis(const sched::PolicyDesc& base, std:
     sched::PolicyDesc desc = base;
     desc.seed = base.seed + i;
     out.push_back(std::move(desc));
-  }
-  return out;
-}
-
-std::vector<sched::PolicyDesc> gst_axis(const sched::PolicyDesc& base,
-                                        const std::vector<Round>& gsts,
-                                        std::uint64_t seeds_per_gst) {
-  std::vector<sched::PolicyDesc> out;
-  out.reserve(gsts.size() * std::max<std::uint64_t>(seeds_per_gst, 1));
-  for (const Round gst : gsts) {
-    for (std::uint64_t i = 0; i < std::max<std::uint64_t>(seeds_per_gst, 1); ++i) {
-      sched::PolicyDesc desc = base;
-      desc.kind = sched::PolicyDesc::Kind::EventualSynchrony;
-      desc.gst = gst;
-      desc.seed = base.seed + i;
-      out.push_back(std::move(desc));
-    }
   }
   return out;
 }

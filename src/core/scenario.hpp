@@ -166,12 +166,4 @@ struct SweepGrid {
 [[nodiscard]] std::vector<sched::PolicyDesc> schedule_axis(const sched::PolicyDesc& base,
                                                            std::uint64_t count);
 
-/// The partial-synchrony (gst x gst-seed) spread for a SweepGrid: one
-/// EventualSynchrony desc per (gst, seed) pair — gst outermost, seeds
-/// base.seed .. base.seed + seeds_per_gst - 1 within each gst. Every
-/// other knob (scope, max_delay) is copied from `base`.
-[[nodiscard]] std::vector<sched::PolicyDesc> gst_axis(const sched::PolicyDesc& base,
-                                                      const std::vector<Round>& gsts,
-                                                      std::uint64_t seeds_per_gst);
-
 }  // namespace bsm::core

@@ -289,19 +289,12 @@ std::uint64_t scenario_digest(const ScenarioSpec& scenario) {
   w.u32(scenario.sched.delay_permille);
   w.u32(scenario.sched.omission_budget);
   w.u64(scenario.sched.trace.digest());
-  // Partial-synchrony knobs fold only when engaged: a synchronous (or
-  // delay/omission) cell with the default gst/max_rounds keeps its
-  // historical digest byte for byte. The kind byte above already separates
-  // EventualSynchrony cells from everything else; the conditional folds
-  // below separate them from each other.
-  if (scenario.sched.kind == sched::PolicyDesc::Kind::EventualSynchrony ||
-      scenario.sched.gst != 0) {
-    w.u32(scenario.sched.gst);
-  }
   // Reserved byte, always 0: it stands where a stats-representation byte
   // was folded (0 for every sweep cell), so grid_digest and the headers of
   // existing shards stay byte-identical.
   w.u8(0);
+  // Folded only when set: a cell with the default guard keeps its
+  // historical digest byte for byte.
   if (scenario.max_rounds != 0) w.u32(scenario.max_rounds);
   return fnv1a64(w.data());
 }
@@ -323,14 +316,10 @@ std::string cell_json_fields(const CellResult& cell) {
       << ", \"input_seed\": " << cell.scenario.input_seed
       << ", \"adversaries\": " << cell.scenario.adversaries.size()
       << ", \"solvable\": " << (cell.solvable ? "true" : "false");
-  const bool gst_cell = cell.scenario.sched.kind == sched::PolicyDesc::Kind::EventualSynchrony;
   if (!cell.scenario.sched.is_synchronous()) {
-    const char* kind = gst_cell ? "gst"
-                       : cell.scenario.sched.kind == sched::PolicyDesc::Kind::RandomDelay
-                           ? "delay"
-                           : "omit";
+    const char* kind =
+        cell.scenario.sched.kind == sched::PolicyDesc::Kind::RandomDelay ? "delay" : "omit";
     out << ", \"sched\": \"" << kind << "\", \"sched_seed\": " << cell.scenario.sched.seed;
-    if (gst_cell) out << ", \"gst\": " << cell.scenario.sched.gst;
   }
   if (cell.outcome.has_value()) {
     const auto& run = *cell.outcome;
@@ -342,11 +331,10 @@ std::string cell_json_fields(const CellResult& cell) {
         << ", \"stability\": " << (run.report.stability ? "true" : "false")
         << ", \"non_competition\": " << (run.report.non_competition ? "true" : "false")
         << "}, \"all_properties\": " << (run.report.all() ? "true" : "false");
-    // Round-complexity verdict: emitted for partial-synchrony cells (where
-    // rounds_to_termination is the quantity under study) and for any run
-    // that failed to terminate — so every pre-existing cell line, whose
-    // runs all terminate under bounded schedules, keeps its exact bytes.
-    if (gst_cell || !run.terminated || run.round_limit_hit) {
+    // Round-complexity verdict: emitted only for a run that failed to
+    // terminate, so every cell line whose run terminated under a bounded
+    // schedule keeps its exact bytes.
+    if (!run.terminated || run.round_limit_hit) {
       out << ", \"terminated\": " << (run.terminated ? "true" : "false")
           << ", \"rounds_to_termination\": " << run.rounds_to_termination
           << ", \"round_limit_hit\": " << (run.round_limit_hit ? "true" : "false");

@@ -91,7 +91,7 @@ class DeliveryPolicy {
   /// and the property harnesses to decide whether a failure is a finding).
   [[nodiscard]] virtual const FaultEnvelope& envelope() const = 0;
 
-  /// Partial-synchrony hook: called once per engine round *before* the
+  /// Stall hook: called once per engine round *before* the
   /// engine would assemble and step protocol round `next`. Returning true
   /// stalls the engine for that engine round — nothing is delivered, no
   /// process steps, the protocol round stays frozen and only the engine's

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/hash.hpp"
-
 namespace bsm::sched {
 
 namespace {
@@ -97,72 +95,6 @@ net::DeliveryVerdict ScriptedPolicy::on_envelope(Round now, const net::Envelope&
   return net::DeliveryVerdict::deliver();
 }
 
-EventualSynchronyPolicy::EventualSynchronyPolicy(std::uint64_t seed, Round gst,
-                                                 net::FaultEnvelope envelope)
-    : seed_(seed), gst_(gst), envelope_(std::move(envelope)) {
-  envelope_.max_delay = std::max<Round>(envelope_.max_delay, 1);
-}
-
-bool EventualSynchronyPolicy::stall_round(Round next) {
-  const Round tick = ticks_++;
-  if (tick >= gst_) return false;  // GST reached: strictly synchronous
-  // One coin per pre-GST engine round, drawn straight from the seed (not
-  // a shared stream), so the stall pattern is independent of how much
-  // traffic the run generated.
-  if ((splitmix64(seed_ ^ ((0x57a11ULL << 32) | tick)) & 1) == 0) return false;
-  ++stalled_;
-  applied_.push_back({ScheduleOp::Kind::Stall, next, 0, 0, 1});
-  return true;
-}
-
-net::DeliveryVerdict EventualSynchronyPolicy::on_envelope(Round now, const net::Envelope& env) {
-  // The consult for this engine round already happened, so the current
-  // engine round is ticks_ - 1 (a verdict asked before any consult
-  // delivers). From GST on the schedule is synchronous.
-  if (ticks_ == 0 || ticks_ - 1 >= gst_) return net::DeliveryVerdict::deliver();
-  if (!envelope_.covers(env.from, env.to)) return net::DeliveryVerdict::deliver();
-  const std::uint64_t key = slot_key(now, env.from, env.to);
-  const auto it = by_slot_.find(key);
-  if (it != by_slot_.end()) return it->second;  // one fate per channel-round group
-
-  const std::uint64_t h = splitmix64(seed_ ^ splitmix64(key + 0x6e7a1ULL));
-  net::DeliveryVerdict verdict = net::DeliveryVerdict::deliver();
-  const std::uint32_t roll = h % 1000;
-  if (roll < 350) {
-    const Round d = 1 + static_cast<Round>((h >> 32) % envelope_.max_delay);
-    verdict = net::DeliveryVerdict::delayed(d);
-    applied_.push_back({ScheduleOp::Kind::Delay, now, env.from, env.to, d});
-    ++delayed_;
-  } else if (roll < 500) {
-    const std::uint32_t rank = 1 + static_cast<std::uint32_t>((h >> 32) % 3);
-    verdict = net::DeliveryVerdict::deliver(rank);
-    applied_.push_back({ScheduleOp::Kind::Rank, now, env.from, env.to, rank});
-  }
-  by_slot_.emplace(key, verdict);
-  return verdict;
-}
-
-ScheduleTrace EventualSynchronyPolicy::recorded() const {
-  ScheduleTrace trace;
-  trace.ops = applied_;
-  std::sort(trace.ops.begin(), trace.ops.end());
-  // Consecutive stalls before one protocol round merge into a single
-  // stall op carrying the count — the canonical form ScriptedPolicy
-  // replays with the exact same engine behaviour.
-  std::vector<ScheduleOp> merged;
-  merged.reserve(trace.ops.size());
-  for (const auto& op : trace.ops) {
-    if (op.kind == ScheduleOp::Kind::Stall && !merged.empty() &&
-        merged.back().kind == ScheduleOp::Kind::Stall && merged.back().round == op.round) {
-      merged.back().arg += op.arg;
-      continue;
-    }
-    merged.push_back(op);
-  }
-  trace.ops = std::move(merged);
-  return trace;
-}
-
 std::unique_ptr<net::DeliveryPolicy> make_policy(const PolicyDesc& desc,
                                                  net::FaultEnvelope envelope) {
   switch (desc.kind) {
@@ -177,9 +109,6 @@ std::unique_ptr<net::DeliveryPolicy> make_policy(const PolicyDesc& desc,
       return std::make_unique<TargetedOmissionPolicy>(std::move(envelope));
     case PolicyDesc::Kind::Scripted:
       return std::make_unique<ScriptedPolicy>(desc.trace);
-    case PolicyDesc::Kind::EventualSynchrony:
-      envelope.max_delay = std::max<Round>(desc.max_delay, 1);
-      return std::make_unique<EventualSynchronyPolicy>(desc.seed, desc.gst, std::move(envelope));
   }
   throw std::logic_error("make_policy: unknown policy kind");
 }

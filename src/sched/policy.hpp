@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "net/delivery.hpp"
@@ -33,9 +32,6 @@ struct PolicyDesc {
     RandomDelay,       ///< seeded bounded delays on in-envelope channels
     TargetedOmission,  ///< budgeted drops on in-envelope channels
     Scripted,          ///< replay a ScheduleTrace
-    /// Partial synchrony: seeded stalls/delays/reorders before the GST
-    /// engine round, strictly synchronous after (EventualSynchronyPolicy).
-    EventualSynchrony,
   };
 
   /// Which channels the policy may perturb. CorruptAdjacent restricts to
@@ -51,7 +47,6 @@ struct PolicyDesc {
   std::uint32_t delay_permille = 250;  ///< RandomDelay per-envelope delay odds
   std::uint32_t omission_budget = 2;   ///< TargetedOmission drops per target
   ScheduleTrace trace;                 ///< Scripted only
-  Round gst = 0;                       ///< EventualSynchrony: the GST engine round
 
   bool operator==(const PolicyDesc&) const = default;
 
@@ -136,49 +131,6 @@ class ScriptedPolicy final : public net::DeliveryPolicy {
   std::unordered_map<Round, std::uint32_t> stalls_;  ///< protocol round -> stalls left
   Round stall_budget_ = 0;                           ///< total scripted stall rounds
   std::uint64_t applied_ = 0;
-};
-
-/// The partial-synchrony adversary: before the GST engine round the
-/// network may stall whole engine rounds and delay or reorder covered
-/// channel-round groups (all drawn from one explicit seed); from GST on
-/// it is strictly synchronous. Verdicts are memoized per (round, from,
-/// to) slot, so every envelope of a channel-round group shares one fate —
-/// exactly the granularity a ScheduleTrace speaks — and recorded()
-/// returns the applied ops as a canonical trace whose ScriptedPolicy
-/// replay reproduces the run bit for bit (tests/sched_test.cpp).
-///
-/// Liveness shape: stalls only happen pre-GST, so a run consumes at most
-/// `gst` extra engine rounds — rounds_to_termination <= protocol deadline
-/// + gst, the bound the termination batteries assert. Messages delayed
-/// just before GST may still land up to max_delay rounds after it, the
-/// standard partial-synchrony carry-over.
-class EventualSynchronyPolicy final : public net::DeliveryPolicy {
- public:
-  /// `envelope` bounds the perturbation (covered channels, max_delay >= 1
-  /// enforced); `gst` is the first strictly-synchronous engine round.
-  EventualSynchronyPolicy(std::uint64_t seed, Round gst, net::FaultEnvelope envelope);
-
-  [[nodiscard]] net::DeliveryVerdict on_envelope(Round now, const net::Envelope& env) override;
-  [[nodiscard]] const net::FaultEnvelope& envelope() const override { return envelope_; }
-  [[nodiscard]] bool stall_round(Round next) override;
-  [[nodiscard]] Round stall_budget() const override { return gst_; }
-
-  [[nodiscard]] Round gst() const noexcept { return gst_; }
-  [[nodiscard]] std::uint64_t stalled() const noexcept { return stalled_; }
-  [[nodiscard]] std::uint64_t delayed() const noexcept { return delayed_; }
-
-  /// Everything the adversary actually did, as a canonical ScheduleTrace.
-  [[nodiscard]] ScheduleTrace recorded() const;
-
- private:
-  std::uint64_t seed_;
-  Round gst_;
-  net::FaultEnvelope envelope_;
-  Round ticks_ = 0;  ///< stall consults so far == engine rounds begun
-  std::unordered_map<std::uint64_t, net::DeliveryVerdict> by_slot_;  ///< memoized group verdicts
-  std::vector<ScheduleOp> applied_;  ///< every non-identity act, recording order
-  std::uint64_t stalled_ = 0;
-  std::uint64_t delayed_ = 0;
 };
 
 /// Materialize `desc` against the run's fault envelope (the caller — the

@@ -34,8 +34,7 @@ struct ScheduleOp {
     Rank,   ///< keep the round, demote the group to rank `arg` (arg >= 1)
     /// Stall the engine for `arg` extra engine rounds before protocol
     /// round `round` begins: nothing is delivered and no process steps
-    /// while a stall is pending, only the engine-round clock advances
-    /// (the partial-synchrony primitive — a scripted pre-GST "silence").
+    /// while a stall is pending, only the engine-round clock advances.
     /// from/to are unused and serialize as 0>0.
     Stall,
   };

@@ -61,8 +61,7 @@ TEST(CliContract, HelpExitsZeroAndDocumentsEverySubcommand) {
   EXPECT_EQ(result.exit_code, 0);
   for (const char* word : {"run", "sweep", "merge", "explore", "fuzz", "bench", "--replay",
                            "--max-depth", "--max-execs", "--shard", "--resume", "--trace",
-                           "--gst", "--gst-seed", "--max-rounds", "--trace-out", "--metrics",
-                           "--progress[=SECS]"}) {
+                           "--max-rounds", "--trace-out", "--metrics", "--progress[=SECS]"}) {
     EXPECT_NE(result.output.find(word), std::string::npos) << "help must mention " << word;
   }
 }
@@ -102,10 +101,9 @@ TEST(CliContract, BadValuesExitTwo) {
         "sweep --topology moebius", "fuzz --k zilch", "fuzz --battery nuclear",
         "fuzz --ops blackhole", "fuzz --replay not-a-trace", "fuzz --topology moebius",
         "sweep --shard 0/4", "sweep --shard 5/4", "sweep --shard five",
-        "sweep --checkpoint-every 0", "run --trace not-a-trace", "run --gst zilch",
-        "run --max-rounds 2000000", "sweep --sched gst --gst 0,65", "sweep --max-rounds junk",
-        "explore --max-rounds junk", "fuzz --max-rounds junk", "sweep --progress=0",
-        "sweep --progress=soon", "fuzz --progress=", "sweep --metrics=yes",
+        "sweep --checkpoint-every 0", "run --trace not-a-trace", "run --max-rounds 2000000",
+        "sweep --max-rounds junk", "explore --max-rounds junk", "fuzz --max-rounds junk",
+        "sweep --progress=0", "sweep --progress=soon", "fuzz --progress=", "sweep --metrics=yes",
         // Out-of-range scenario axes: no side may be empty, and no
         // corruption budget may exceed its side (for sweep: the smallest
         // side in the grid).
@@ -141,20 +139,6 @@ TEST(CliContract, ScheduleWithOutOfRangePartyExitsTwo) {
   EXPECT_NE(run.output.find("bad --trace"), std::string::npos) << run.output;
 }
 
-TEST(CliContract, RunTraceAndGstAreMutuallyExclusive) {
-  const auto result = run_cli("run --k 2 --tl 1 --tr 0 --trace \"stall@0:0>0*2\" --gst 1");
-  EXPECT_EQ(result.exit_code, 2);
-  EXPECT_NE(result.output.find("mutually exclusive"), std::string::npos) << result.output;
-}
-
-TEST(CliContract, RunUnderGstReportsLiveness) {
-  const auto result = run_cli("run --k 2 --tl 1 --tr 0 --gst 3");
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("Liveness:"), std::string::npos) << result.output;
-  EXPECT_NE(result.output.find("terminated=1"), std::string::npos) << result.output;
-  EXPECT_NE(result.output.find("round_limit_hit=0"), std::string::npos) << result.output;
-}
-
 TEST(CliContract, NeverDeliverScheduleIsStructuredAtEveryEntryPoint) {
   // A stall wall that would starve the engine forever must come back as a
   // round_limit_hit verdict — exit 1, no hang — through every entry point.
@@ -174,6 +158,15 @@ TEST(CliContract, NeverDeliverScheduleIsStructuredAtEveryEntryPoint) {
   const auto fuzz = run_cli("fuzz --k 2 --tl 1 --tr 0 --replay " + wall + " --max-rounds 20");
   EXPECT_EQ(fuzz.exit_code, 1) << fuzz.output;
   EXPECT_NE(fuzz.output.find("\"round_limit_hit\": true"), std::string::npos) << fuzz.output;
+
+  // sweep takes no trace: a cap below the protocol deadline is its wall.
+  const auto sweep = run_cli(
+      "sweep --k 2 --tl 0 --tr 0 --seeds 1 --battery silent --topology fully --auth on "
+      "--max-rounds 1");
+  EXPECT_EQ(sweep.exit_code, 1) << sweep.output;
+  const std::string liveness =
+      "\"terminated\": false, \"rounds_to_termination\": 0, \"round_limit_hit\": true}";
+  EXPECT_NE(sweep.output.find(liveness), std::string::npos) << sweep.output;
 }
 
 /// The number after `key` in `output`, or -1 when `key` is absent.
@@ -188,8 +181,7 @@ TEST(CliContract, RunTranscriptPerAdversaryKind) {
   const std::pair<const char*, const char*> cases[] = {
       {"run --adversary silent", "6 rounds, 392 messages, 28112 bytes"},
       {"run --adversary liar --adversary split", "6 rounds, 560 messages, 41712 bytes"},
-      {"run --adversary crash --adversary liar --gst 5 --gst-seed 3",
-       "6 rounds, 512 messages, 38400 bytes"},
+      {"run --adversary crash --adversary liar", "6 rounds, 512 messages, 36864 bytes"},
       {"run --topology bipartite --k 3 --tl 1 --tr 0 --adversary split --no-auth",
        "17 rounds, 2129 messages, 100786 bytes"},
       {"run --topology one-sided --k 4 --tl 0 --tr 2 --adversary silent --adversary silent "
@@ -204,8 +196,6 @@ TEST(CliContract, RunTranscriptPerAdversaryKind) {
     EXPECT_NE(result.output.find(std::string("Cost:      ") + cost + "\n"), std::string::npos)
         << args << "\n" << result.output;
   }
-  const auto gst = run_cli("run --adversary crash --adversary liar --gst 5 --gst-seed 3");
-  EXPECT_EQ(number_after(gst.output, "rounds_to_termination="), 7) << gst.output;
 }
 
 TEST(CliContract, ReplayReportsTheSameTerminationWatermarkAsRun) {
@@ -217,7 +207,9 @@ TEST(CliContract, ReplayReportsTheSameTerminationWatermarkAsRun) {
   for (const auto& [trace, expected] : cases) {
     const auto run = run_cli("run" + setting + "--adversary silent --trace \"" + trace + "\"");
     EXPECT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_NE(run.output.find("Liveness:   terminated=1 "), std::string::npos) << run.output;
     EXPECT_EQ(number_after(run.output, "rounds_to_termination="), expected) << run.output;
+    EXPECT_NE(run.output.find(" round_limit_hit=0\n"), std::string::npos) << run.output;
     for (const char* sub : {"explore", "fuzz"}) {
       const auto replay = run_cli(std::string(sub) + setting + "--battery silent --replay \"" +
                                   trace + "\"");
@@ -225,17 +217,6 @@ TEST(CliContract, ReplayReportsTheSameTerminationWatermarkAsRun) {
       EXPECT_EQ(number_after(replay.output, "\"rounds_to_termination\": "), expected)
           << sub << " --replay " << trace << "\n" << replay.output;
     }
-  }
-}
-
-TEST(CliContract, SweepGstAxisEmitsLivenessFields) {
-  const auto result = run_cli(
-      "sweep --k 2 --tl 0,1 --tr 0 --battery silent --sched gst --gst 0,2 --sched-seeds 2");
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  for (const char* field : {"\"sched\": \"gst\"", "\"gst\": 2", "\"terminated\": true",
-                            "\"rounds_to_termination\"", "\"round_limit_hit\": false"}) {
-    EXPECT_NE(result.output.find(field), std::string::npos)
-        << "gst sweep JSON must contain " << field;
   }
 }
 

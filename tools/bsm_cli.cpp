@@ -286,8 +286,6 @@ struct SweepCli {
   std::uint64_t num_seeds = 2;
   std::uint64_t sched_seeds = 1;
   sched::PolicyDesc sched_base;
-  bool sched_gst = false;            ///< --sched gst: fan out over gst_axis
-  std::vector<Round> gsts = {0, 2};  ///< --gst: the GST values of that axis
   core::SweepOptions opts;
 
   // Streaming surface (core/shard.hpp); active iff --out is given.
@@ -384,32 +382,18 @@ struct SweepCli {
       }));
   sub.flags.push_back(cli::value_flag(
       "--sched", "KIND",
-      "delivery schedule per cell: sync,delay,omit,gst (default: sync;\n"
-      "                        delay/omit/gst perturb only corrupt-adjacent channels)",
+      "delivery schedule per cell: sync,delay,omit (default: sync;\n"
+      "                        delay/omit perturb only corrupt-adjacent channels)",
       [&o](const std::string& v) -> std::optional<std::string> {
-        o.sched_gst = false;
         if (v == "sync") {
           o.sched_base.kind = sched::PolicyDesc::Kind::Synchronous;
         } else if (v == "delay") {
           o.sched_base.kind = sched::PolicyDesc::Kind::RandomDelay;
         } else if (v == "omit") {
           o.sched_base.kind = sched::PolicyDesc::Kind::TargetedOmission;
-        } else if (v == "gst") {
-          o.sched_base.kind = sched::PolicyDesc::Kind::EventualSynchrony;
-          o.sched_gst = true;
         } else {
-          return "expected sync|delay|omit|gst";
+          return "expected sync|delay|omit";
         }
-        return std::nullopt;
-      }));
-  sub.flags.push_back(cli::value_flag(
-      "--gst", "LIST",
-      "with --sched gst: comma list of GST engine rounds to fan\n"
-      "                        each setting out over (default: 0,2)",
-      [&o, u32_list](const std::string& v) -> std::optional<std::string> {
-        std::vector<std::uint32_t> values;
-        if (auto reason = u32_list(v, 0, values)) return reason;
-        o.gsts.assign(values.begin(), values.end());
         return std::nullopt;
       }));
   sub.flags.push_back(bounded_flag(
@@ -488,8 +472,7 @@ int run_sweep_command(int argc, char** argv) {
 
   o.grid.seeds.clear();
   for (std::uint64_t s = 1; s <= o.num_seeds; ++s) o.grid.seeds.push_back(s);
-  o.grid.scheds = o.sched_gst ? core::gst_axis(o.sched_base, o.gsts, o.sched_seeds)
-                              : core::schedule_axis(o.sched_base, o.sched_seeds);
+  o.grid.scheds = core::schedule_axis(o.sched_base, o.sched_seeds);
   const auto cells = o.grid.cells();
 
   ObsSession obs_session;
@@ -1022,8 +1005,6 @@ struct RunCli {
   std::vector<core::AdversaryDesc::Kind> adversaries;
   bool verbose = false;
   std::optional<std::string> trace;  ///< --trace: scripted delivery schedule
-  std::optional<Round> gst;          ///< --gst: eventual-synchrony schedule
-  std::uint64_t gst_seed = 1;
   Round max_rounds = 0;
   ObsCli obs;
 };
@@ -1064,14 +1045,6 @@ struct RunCli {
         return std::nullopt;
       }));
   sub.flags.push_back(bounded_flag(
-      "--gst", "N",
-      "run under the eventual-synchrony schedule with GST at\n"
-      "                        engine round N (stalls/delays before, synchronous after)",
-      0, 1'000'000, [&o](std::uint64_t n) { o.gst = static_cast<Round>(n); }));
-  sub.flags.push_back(bounded_flag("--gst-seed", "S",
-                                   "eventual-synchrony adversary seed (default: 1)", 0, 1'000'000,
-                                   [&o](std::uint64_t n) { o.gst_seed = n; }));
-  sub.flags.push_back(bounded_flag(
       "--max-rounds", "N",
       "engine-round guard, 0 = deadline + stall budget; a\n"
       "                        starved run reports round_limit_hit instead of hanging",
@@ -1088,10 +1061,6 @@ int run_run_command(int argc, char** argv, int first) {
     return *code;
   }
   if (!budgets_fit("run", opt.cfg.k, opt.cfg.tl, opt.cfg.tr)) return 2;
-  if (opt.trace.has_value() && opt.gst.has_value()) {
-    std::cerr << "run: --trace and --gst are mutually exclusive (try --help)\n";
-    return 2;
-  }
   ObsSession obs_session;
   if (!obs_session.begin(opt.obs, 0, obs::Counter::CellsDone, "cells")) {
     std::cerr << "run: " << obs_session.error() << "\n";
@@ -1138,13 +1107,6 @@ int run_run_command(int argc, char** argv, int first) {
     }
     scenario.sched.kind = sched::PolicyDesc::Kind::Scripted;
     scenario.sched.trace = *trace;
-  } else if (opt.gst.has_value()) {
-    // The scenario layer's default corrupt-adjacent envelope: delays and
-    // reorders only touch channels with a corrupted endpoint (stalls are
-    // engine-global by construction).
-    scenario.sched.kind = sched::PolicyDesc::Kind::EventualSynchrony;
-    scenario.sched.seed = opt.gst_seed;
-    scenario.sched.gst = *opt.gst;
   }
   core::RunSpec spec = core::to_run_spec(scenario);
 

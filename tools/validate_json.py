@@ -304,9 +304,8 @@ CELL_RAN_FIELDS = {
     "all_properties": bool,
 }
 
-# Round-complexity verdict, emitted for partial-synchrony (sched "gst")
-# cells and for any run cut off before termination. Optional as a group:
-# pre-existing documents without them stay valid.
+# Round-complexity verdict, emitted for any run cut off before
+# termination. Optional as a group: lines of terminated runs omit it.
 CELL_LIVENESS_FIELDS = {
     "terminated": bool,
     "rounds_to_termination": int,
@@ -338,25 +337,17 @@ def validate_cell(cell, where, errors):
         errors.append(f"{where}: expected an object")
         return True
     extra = set(CELL_RAN_FIELDS) | set(CELL_LIVENESS_FIELDS) | {
-        "sched", "sched_seed", "gst", "type", "cell"}
+        "sched", "sched_seed", "type", "cell"}
     check_fields(cell, CELL_BASE_FIELDS, where, errors, extra_ok=extra)
-    if "gst" in cell:
-        if cell.get("sched") != "gst":
-            errors.append(f"{where}: field 'gst' requires sched \"gst\"")
-        if not isinstance(cell["gst"], int) or isinstance(cell["gst"], bool):
-            errors.append(f"{where}: field 'gst' must be an integer")
-    elif cell.get("sched") == "gst":
-        errors.append(f"{where}: sched \"gst\" cells must carry the 'gst' field")
+    if "sched" in cell and cell["sched"] not in ("delay", "omit"):
+        errors.append(f"{where}: field 'sched' must be \"delay\" or \"omit\", "
+                      f"got {cell['sched']!r}")
     all_ok = True
     if cell.get("solvable") is True and "protocol" in cell:
         check_fields({k: v for k, v in cell.items() if k in CELL_RAN_FIELDS},
                      CELL_RAN_FIELDS, where, errors)
         check_fields(cell.get("properties", {}), PROPERTY_FIELDS, f"{where}.properties", errors)
         check_liveness(cell, where, errors)
-        if cell.get("sched") == "gst" and \
-                not all(k in cell for k in CELL_LIVENESS_FIELDS):
-            errors.append(f"{where}: ran sched \"gst\" cells must carry the "
-                          "round-complexity fields")
         all_ok = cell.get("all_properties") is True
     return all_ok
 
