@@ -8,7 +8,7 @@
 namespace bsm::benchcases {
 
 void register_gale_shapley();         // E6  — A_G-S substrate cost
-void register_roommates();            // E11 — Irving + bRM end-to-end
+void register_roommates();            // E11 — Irving's algorithm
 void register_solvability_grid();     // E1  — the paper's results grid
 void register_fault_crossover();      // E10 — threshold crossover figure
 void register_ablation();             // E9  — quorum + suggestion ablations

@@ -1,15 +1,12 @@
 // Matching-substrate case groups: gale_shapley (E6, the A_G-S algorithm of
-// Theorem 1) and roommates (E11, Irving's algorithm plus the bRM
-// end-to-end protocol of Section 6).
+// Theorem 1) and roommates (E11, Irving's algorithm for the stable
+// roommate problem of Section 6).
 #include <cstdint>
-#include <vector>
 
-#include "adversary/strategies.hpp"
 #include "cases/cases.hpp"
 #include "cases/digest.hpp"
 #include "common/hash.hpp"
 #include "core/bench.hpp"
-#include "core/roommates_bsm.hpp"
 #include "matching/gale_shapley.hpp"
 #include "matching/generators.hpp"
 #include "matching/roommates.hpp"
@@ -59,36 +56,6 @@ using core::BenchRun;
   return run;
 }
 
-/// bRM end-to-end: the table of E11 — both auth settings at several sizes,
-/// the full budget silent. ok iff the refined bRM properties held in every
-/// run.
-[[nodiscard]] BenchRun run_brm_end_to_end(const std::vector<std::uint32_t>& sizes) {
-  BenchRun run;
-  for (const bool auth : {true, false}) {
-    for (const std::uint32_t n : sizes) {
-      const std::uint32_t t = auth ? n / 2 : (n - 1) / 3;
-      core::RoommatesRunSpec spec;
-      spec.config = {n, t, auth};
-      spec.inputs = matching::random_roommate_profile(n, n + t);
-      for (std::uint32_t i = 0; i < t; ++i) {
-        spec.adversaries.emplace_back(i, std::make_unique<adversary::Silent>());
-      }
-      const auto out = core::run_roommates(std::move(spec));
-      ++run.cells;
-      run.rounds += out.rounds;
-      run.messages += out.traffic.messages;
-      run.bytes += out.traffic.bytes;
-      run.ok &= out.report.all();
-      for (PartyId id = 0; id < n; ++id) {
-        const PartyId d =
-            out.decisions[id].has_value() ? *out.decisions[id] : kNobody - 1;
-        run.digest = hash_combine(run.digest, splitmix64((std::uint64_t{n} << 32) | d));
-      }
-    }
-  }
-  return run;
-}
-
 }  // namespace
 
 void register_gale_shapley() {
@@ -125,10 +92,6 @@ void register_roommates() {
                         [](const BenchContext&) { return run_irving(512, 42); }});
   core::register_bench({"roommates/irving_solvability_rate_n32",
                         [](const BenchContext&) { return run_solvability_rate(32, 200); }});
-  core::register_bench({"roommates/brm_end_to_end",
-                        [](const BenchContext&) {
-                          return run_brm_end_to_end({4U, 6U, 10U});
-                        }});
   core::register_bench({"roommates/smoke",
                         [](const BenchContext&) { return run_irving(16, 42); }});
 }

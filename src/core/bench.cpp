@@ -217,6 +217,12 @@ int bench_main(int argc, char** argv) {
     std::cerr << "bad --filter regex: " << e.what() << "\n";
     return 2;
   }
+  // A run of no case would pass vacuously: an empty selection is a usage
+  // error, listed or run.
+  if (cases.empty()) {
+    std::cerr << "bench: --filter " << opts.filter << " matches no case\n";
+    return 2;
+  }
 
   if (state.list) {
     for (const auto& c : cases) std::cout << c.name << "\n";

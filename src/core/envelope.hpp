@@ -1,8 +1,8 @@
 // The unified JSON envelope every machine-readable report shares.
 //
-// All five bsm_cli subcommands (run prints a human table; sweep, explore,
-// fuzz, and bench emit JSON) plus the streaming sweep JSONL header lead
-// with the same versioned field block:
+// Of the six bsm_cli subcommands, run prints a human table; every JSON
+// report (sweep, explore, fuzz, bench) and the JSONL header that streaming
+// sweep and merge write lead with the same versioned field block:
 //
 //   "schema_version": <kJsonSchemaVersion>, "subcommand": "<name>",
 //   "git_sha": "<configure-time sha>", "threads": <resolved worker count>

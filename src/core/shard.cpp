@@ -44,6 +44,44 @@ namespace {
   return g > 0 && g % every == 0;
 }
 
+/// How far a document's body follows the line sequence its header promises.
+struct BodyWalk {
+  std::size_t next = 0;  ///< first cell whose group did not match
+  std::size_t pos = 0;   ///< byte just past the last matched group
+  std::size_t ran = 0;   ///< matched cell lines that carry a run
+  bool all_ok = true;    ///< no matched cell line reports a failed property
+};
+
+/// Walk the expected lines of cells [begin, end) in `text` from byte `pos`.
+/// The unit is the cell *group*: the checkpoint line due right before cell
+/// g, then a whole line opening with cell g's prefix. Stops at the first
+/// group that does not match, so a gap, a repeat or a torn line ends it.
+[[nodiscard]] BodyWalk walk_cell_groups(std::string_view text, std::size_t pos, std::size_t begin,
+                                        std::size_t end, std::size_t every) {
+  BodyWalk walk{begin, pos};
+  for (; walk.next < end; ++walk.next) {
+    std::size_t cursor = walk.pos;
+    if (checkpoint_due(walk.next, every)) {
+      const std::string cp = jsonl_checkpoint_line(walk.next);
+      if (text.compare(cursor, cp.size(), cp) != 0 || cursor + cp.size() >= text.size() ||
+          text[cursor + cp.size()] != '\n') {
+        break;
+      }
+      cursor += cp.size() + 1;
+    }
+    const std::string prefix =
+        "{\"type\": \"cell\", \"cell\": " + std::to_string(walk.next) + ", ";
+    if (text.compare(cursor, prefix.size(), prefix) != 0) break;
+    const auto line_end = text.find('\n', cursor);
+    if (line_end == std::string_view::npos) break;
+    const std::string_view line = text.substr(cursor, line_end - cursor);
+    if (line.find("\"protocol\"") != std::string_view::npos) ++walk.ran;
+    if (line.find("\"all_properties\": false") != std::string_view::npos) walk.all_ok = false;
+    walk.pos = line_end + 1;
+  }
+  return walk;
+}
+
 /// Execute cells [start, end) of the grid and emit their lines to `out`,
 /// one checkpoint-aligned block at a time (flushed per block, so a kill
 /// loses at most the block in flight). Updates st's emitted/ran/all_ok/
@@ -128,16 +166,6 @@ void run_blocks(const std::vector<ScenarioSpec>& cells, const StreamOptions& opt
   return parse_u64(std::string_view(line).substr(start, end - start));
 }
 
-[[nodiscard]] std::optional<bool> field_bool(const std::string& line, const char* name) {
-  const std::string pat = std::string("\"") + name + "\": ";
-  const auto p = line.find(pat);
-  if (p == std::string::npos) return std::nullopt;
-  const auto start = p + pat.size();
-  if (line.compare(start, 4, "true") == 0) return true;
-  if (line.compare(start, 5, "false") == 0) return false;
-  return std::nullopt;
-}
-
 /// One parsed shard document, split into its three parts.
 struct ParsedShard {
   std::string header;  ///< first line, no newline
@@ -173,8 +201,8 @@ struct ParsedShard {
   const auto every = field_number(p.header, "checkpoint_every");
   const auto begin = field_number(p.header, "begin");
   const auto end = field_number(p.header, "end");
-  if (!schema || !sha || !grid || !total || !every || !begin || !end || *begin > *end ||
-      *end > *total) {
+  if (!schema || !sha || !grid || !total || !every || *every == 0 || !begin || !end ||
+      *begin > *end || *end > *total) {
     return fail("malformed shard header: " + p.header);
   }
   p.schema = *schema;
@@ -195,29 +223,22 @@ struct ParsedShard {
   if (summary.find('\n') != std::string::npos) {
     return fail("trailing data after the summary line");
   }
-  const auto cells = field_number(summary, "cells");
-  const auto ran = field_number(summary, "ran");
-  const auto ok = field_bool(summary, "all_properties_held");
-  if (!cells || !ran || !ok || *cells != p.end - p.begin) {
-    return fail("malformed shard summary: " + summary);
-  }
-  p.ran = *ran;
-  p.all_ok = *ok;
   p.body = doc.substr(header_end + 1, summary_at - header_end);
 
-  // Count the body's cell lines: a complete shard carries exactly one per
-  // cell of its range (checkpoint lines ride along and are not counted).
-  std::size_t cell_lines = 0;
-  for (std::size_t pos = 0; pos < p.body.size();) {
-    if (p.body.compare(pos, 16, "{\"type\": \"cell\",") == 0) ++cell_lines;
-    const auto nl = p.body.find('\n', pos);
-    if (nl == std::string::npos) break;
-    pos = nl + 1;
+  // A complete shard holds exactly the line sequence its header promises:
+  // every cell of its range once and in order, with the checkpoint lines
+  // due before them, then the summary of those lines.
+  const BodyWalk walk = walk_cell_groups(p.body, 0, p.begin, p.end, p.checkpoint_every);
+  if (walk.next != p.end || walk.pos != p.body.size()) {
+    return fail("shard body breaks off at cell " + std::to_string(walk.next) + " of [" +
+                std::to_string(p.begin) + ", " + std::to_string(p.end) +
+                "): expected its checkpoint and cell lines in order, then the summary line");
   }
-  if (cell_lines != p.end - p.begin) {
-    return fail("shard body has " + std::to_string(cell_lines) + " cell lines, expected " +
-                std::to_string(p.end - p.begin));
+  if (summary != jsonl_summary_line(p.end - p.begin, walk.ran, walk.all_ok)) {
+    return fail("shard summary does not match its cell lines: " + summary);
   }
+  p.ran = walk.ran;
+  p.all_ok = walk.all_ok;
   return p;
 }
 
@@ -417,43 +438,22 @@ FileStreamResult stream_sweep_file(const std::vector<ScenarioSpec>& cells,
       return res;
     }
     if (header_end != std::string::npos) {
-      // Keep the longest valid prefix of the expected line sequence. The
-      // unit is the cell *group* — the cell line plus the checkpoint line
-      // due right before it — so after truncation the writer needs no
-      // partial-group state: it re-emits from a group boundary.
-      std::size_t pos = header_end + 1;
-      kept_bytes = pos;
+      // Keep the longest valid prefix of the expected line sequence. It
+      // ends on a cell-group boundary, so after truncation the writer
+      // needs no partial-group state: it re-emits from that boundary.
+      const BodyWalk walk = walk_cell_groups(text, header_end + 1, begin, end, every);
+      kept_bytes = walk.pos;
       append = true;
-      std::size_t g = begin;
-      while (g < end) {
-        std::size_t cursor = pos;
-        if (checkpoint_due(g, every)) {
-          const std::string cp = jsonl_checkpoint_line(g);
-          if (text.compare(cursor, cp.size(), cp) != 0 || cursor + cp.size() >= text.size() ||
-              text[cursor + cp.size()] != '\n') {
-            break;
-          }
-          cursor += cp.size() + 1;
-        }
-        const std::string prefix = "{\"type\": \"cell\", \"cell\": " + std::to_string(g) + ", ";
-        if (text.compare(cursor, prefix.size(), prefix) != 0) break;
-        const auto line_end = text.find('\n', cursor);
-        if (line_end == std::string::npos) break;
-        const std::string_view line(text.data() + cursor, line_end - cursor);
-        ++res.stats.resumed;
-        if (line.find("\"protocol\"") != std::string_view::npos) ++res.stats.ran;
-        if (line.find("\"all_properties\": false") != std::string_view::npos) {
-          res.stats.all_ok = false;
-        }
-        pos = line_end + 1;
-        kept_bytes = pos;
-        ++g;
-      }
-      next = g;
+      next = walk.next;
+      res.stats.resumed = next - begin;
+      res.stats.ran = walk.ran;
+      res.stats.all_ok = walk.all_ok;
       if (next == end) {
-        const std::string summary = jsonl_summary_line(end - begin, res.stats.ran, res.stats.all_ok);
-        if (text.compare(pos, summary.size(), summary) == 0 &&
-            pos + summary.size() < text.size() && text[pos + summary.size()] == '\n') {
+        const std::string summary =
+            jsonl_summary_line(end - begin, res.stats.ran, res.stats.all_ok);
+        if (text.compare(kept_bytes, summary.size(), summary) == 0 &&
+            kept_bytes + summary.size() < text.size() &&
+            text[kept_bytes + summary.size()] == '\n') {
           res.resumed_complete = true;
           res.stats.cells = end - begin;
           return res;

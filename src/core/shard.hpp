@@ -154,11 +154,13 @@ struct FileStreamResult {
 
 /// Merge complete shard documents into the canonical single-process
 /// document. Validates that every document is complete (summary present),
-/// carries the same header identity (schema, git SHA, grid digest, total),
-/// and that the shard ranges tile [0, total) exactly — any gap, overlap,
-/// or mismatch is an error. Documents may be passed in any order. The
-/// result is byte-identical to a 1/1 stream_sweep of the same grid; in
-/// particular, merging a single complete 1/1 document is the identity.
+/// holds each cell line of its range once and in order with the checkpoint
+/// lines due between them and the summary those lines imply, carries the
+/// same header identity (schema, git SHA, grid digest, total), and that the
+/// shard ranges tile [0, total) exactly — any gap, overlap, or mismatch is
+/// an error. Documents may be passed in any order. The result is
+/// byte-identical to a 1/1 stream_sweep of the same grid; in particular,
+/// merging a single complete 1/1 document is the identity.
 [[nodiscard]] std::optional<std::string> merge_jsonl(const std::vector<std::string>& shard_docs,
                                                      std::string* error);
 

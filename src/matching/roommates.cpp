@@ -5,7 +5,6 @@
 #include <numeric>
 #include <set>
 
-#include "common/codec.hpp"
 #include "common/rng.hpp"
 
 namespace bsm::matching {
@@ -315,34 +314,6 @@ RoommatePreferences random_roommate_profile(std::uint32_t n, std::uint64_t seed)
     prefs[x] = std::move(others);
   }
   return prefs;
-}
-
-Bytes encode_roommate_list(const std::vector<PartyId>& list) {
-  Writer w;
-  w.u32_vec(list);
-  return w.take();
-}
-
-std::optional<std::vector<PartyId>> decode_roommate_list(const Bytes& bytes, PartyId owner,
-                                                         std::uint32_t n) {
-  Reader r(bytes);
-  std::vector<PartyId> list = r.u32_vec();
-  if (!r.done() || list.size() != n - 1) return std::nullopt;
-  std::vector<bool> seen(n, false);
-  for (PartyId y : list) {
-    if (y >= n || y == owner || seen[y]) return std::nullopt;
-    seen[y] = true;
-  }
-  return list;
-}
-
-std::vector<PartyId> default_roommate_list(PartyId owner, std::uint32_t n) {
-  std::vector<PartyId> out;
-  out.reserve(n - 1);
-  for (PartyId y = 0; y < n; ++y) {
-    if (y != owner) out.push_back(y);
-  }
-  return out;
 }
 
 }  // namespace bsm::matching

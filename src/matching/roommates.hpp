@@ -5,8 +5,7 @@
 // stable matching in O(n^2).
 //
 // This module provides Irving's algorithm plus stability analysis and a
-// brute-force oracle; the byzantine variant built on top lives in
-// core/roommates_bsm.hpp.
+// brute-force oracle.
 #pragma once
 
 #include <cstdint>
@@ -51,14 +50,5 @@ using RoommateMatching = std::vector<PartyId>;
 
 /// Uniformly random profile for n agents (n even).
 [[nodiscard]] RoommatePreferences random_roommate_profile(std::uint32_t n, std::uint64_t seed);
-
-/// Encode/decode one agent's list for network transport; decode validates
-/// shape (length n - 1, all ids != owner, no duplicates).
-[[nodiscard]] Bytes encode_roommate_list(const std::vector<PartyId>& list);
-[[nodiscard]] std::optional<std::vector<PartyId>> decode_roommate_list(const Bytes& bytes,
-                                                                       PartyId owner,
-                                                                       std::uint32_t n);
-/// Canonical fallback: ascending ids, owner skipped.
-[[nodiscard]] std::vector<PartyId> default_roommate_list(PartyId owner, std::uint32_t n);
 
 }  // namespace bsm::matching

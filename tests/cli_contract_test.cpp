@@ -115,7 +115,12 @@ TEST(CliContract, BadValuesExitTwo) {
         // An empty list names no cell (or silently means the default):
         // every list flag refuses it.
         "sweep --k ,", "sweep --tl ,", "sweep --tr ,", "sweep --topology ,", "sweep --battery ,",
-        "explore --ops ,", "fuzz --ops ,"}) {
+        "explore --ops ,", "fuzz --ops ,",
+        // A filter that selects no case would pass vacuously.
+        "bench --filter '^no_such_group/'",
+        // A wave fans out on up to --threads OS threads: bounded like
+        // sweep's and bench's.
+        "explore --threads 1025 --max-schedules 1", "fuzz --threads 1025 --max-execs 1"}) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.exit_code, 2) << args;
   }

@@ -1,8 +1,9 @@
 // Tests for Irving's stable roommates algorithm, differential-tested
-// against the exhaustive oracle, plus profile validation and codecs.
+// against the exhaustive oracle, plus profile validation.
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
+#include <algorithm>
+
 #include "matching/roommates.hpp"
 
 namespace bsm::matching {
@@ -110,30 +111,6 @@ TEST(Roommates, LargerInstancesStayStable) {
     }
   }
   EXPECT_GT(solved, 0) << "random 12-agent instances should usually be solvable";
-}
-
-TEST(RoommateCodec, RoundTripAndValidation) {
-  const std::vector<PartyId> list{2, 1, 3};
-  const auto decoded = decode_roommate_list(encode_roommate_list(list), 0, 4);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, list);
-  // Wrong owner (list contains owner), wrong size, duplicates, garbage.
-  EXPECT_FALSE(decode_roommate_list(encode_roommate_list({0, 1, 3}), 0, 4).has_value());
-  EXPECT_FALSE(decode_roommate_list(encode_roommate_list({2, 1}), 0, 4).has_value());
-  EXPECT_FALSE(decode_roommate_list(encode_roommate_list({2, 2, 3}), 0, 4).has_value());
-  EXPECT_FALSE(decode_roommate_list({0xFF, 0x01}, 0, 4).has_value());
-}
-
-TEST(RoommateCodec, FuzzNeverThrows) {
-  Rng rng(5);
-  for (int i = 0; i < 300; ++i) {
-    EXPECT_NO_THROW((void)decode_roommate_list(rng.random_bytes(rng.below(48)), 1, 6));
-  }
-}
-
-TEST(RoommateCodec, DefaultListSkipsOwner) {
-  EXPECT_EQ(default_roommate_list(2, 4), (std::vector<PartyId>{0, 1, 3}));
-  EXPECT_EQ(default_roommate_list(0, 2), (std::vector<PartyId>{1}));
 }
 
 }  // namespace

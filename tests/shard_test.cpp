@@ -283,6 +283,25 @@ TEST(Shard, MergeRejectsGapsOverlapsAndMismatches) {
   EXPECT_FALSE(merge_jsonl({a, torn, c}, &error).has_value());
   EXPECT_NE(error.find("incomplete"), std::string::npos) << error;
 
+  // A body that skips cell 50 and repeats cell 51 keeps its line count but
+  // not its sequence: every line's index is checked.
+  const auto cell_line = [&b](std::size_t cell) {
+    const auto at = b.find("{\"type\": \"cell\", \"cell\": " + std::to_string(cell) + ", ");
+    return b.substr(at, b.find('\n', at) + 1 - at);
+  };
+  std::string repeated = b;
+  repeated.replace(repeated.find(cell_line(50)), cell_line(50).size(), cell_line(51));
+  EXPECT_FALSE(merge_jsonl({a, repeated, c}, &error).has_value()) << "skip-and-repeat accepted";
+  EXPECT_NE(error.find("cell 50"), std::string::npos) << error;
+
+  // The summary must be the one its cell lines imply.
+  const std::string held = "\"all_properties_held\": true";
+  std::string resummed = b;
+  ASSERT_NE(resummed.rfind(held), std::string::npos);
+  resummed.replace(resummed.rfind(held), held.size(), "\"all_properties_held\": false");
+  EXPECT_FALSE(merge_jsonl({a, resummed, c}, &error).has_value()) << "false summary accepted";
+  EXPECT_NE(error.find("summary"), std::string::npos) << error;
+
   // The untampered set still merges (the checks above were the culprits).
   EXPECT_TRUE(merge_jsonl({a, b, c}, &error).has_value()) << error;
 }

@@ -700,7 +700,7 @@ void add_search_flags(cli::Subcommand& sub, SearchCli& o, Options& opts,
       "replay engine-round guard, 0 = horizon + stall budget (default: 0)", 0, 1'000'000,
       [&o](std::uint64_t n) { o.max_rounds = static_cast<Round>(n); }));
   sub.flags.push_back(bounded_flag(
-      "--threads", "N", "per-wave fan-out, 0 = hardware (default: 0)", 0, 1'000'000,
+      "--threads", "N", "per-wave fan-out, 0 = hardware (default: 0)", 0, 1024,
       [&opts](std::uint64_t n) { opts.threads = static_cast<unsigned>(n); }));
   sub.flags.push_back(cli::value_flag(
       "--replay", "TRACE",
