@@ -1,14 +1,14 @@
 // The benchmark suite's case groups, one register function each.
 // `bsm_cli bench` calls register_all() and so runs the full suite;
 // `--filter '^<group>/'` narrows it to one group. Case names are
-// "<group>/<case>"; every group also registers a "<group>/smoke" case
-// small enough for CI's bench smoke job (--filter smoke).
+// "<group>/<case>"; every group but scale/ also registers a
+// "<group>/smoke" case small enough for CI's bench smoke job
+// (--filter smoke, which also selects sched/fuzz_smoke).
 #pragma once
 
 namespace bsm::benchcases {
 
 void register_gale_shapley();         // E6  — A_G-S substrate cost
-void register_roommates();            // E11 — Irving's algorithm
 void register_solvability_grid();     // E1  — the paper's results grid
 void register_fault_crossover();      // E10 — threshold crossover figure
 void register_ablation();             // E9  — quorum + suggestion ablations
@@ -26,7 +26,8 @@ void register_sched();                // delivery schedules + explorer
 void register_scale();                // big-n: rank index, PartySet blocks, engine
 void register_obs();                  // recorder overhead + determinism identity
 
-/// Register every group (the full suite, in E-number order).
+/// Register every group (the full suite: the experiment families in
+/// E-number order, then the engineering groups).
 void register_all();
 
 }  // namespace bsm::benchcases

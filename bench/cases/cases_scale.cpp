@@ -21,8 +21,8 @@ using namespace bsm;
 using core::BenchContext;
 using core::BenchRun;
 
-/// A random k-profile's lazily built inverse-rank index answering a full
-/// cross-product of rank queries (2k * k probes, each O(1) — this sweep
+/// A random k-profile's inverse-rank index (filled by set()) answering a
+/// full cross-product of rank queries (2k * k probes, each O(1) — this sweep
 /// was O(k) per probe before the index existed).
 [[nodiscard]] BenchRun run_materialized_rank_index(std::uint32_t k, std::uint64_t seed) {
   BenchRun run;

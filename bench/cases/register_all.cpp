@@ -13,7 +13,6 @@ void register_all() {
   register_bsm_end_to_end();
   register_ablation();
   register_fault_crossover();
-  register_roommates();
   register_lemma3();
   register_sweep_scheduler();
   register_oracle_cache();

@@ -53,21 +53,13 @@ void PreferenceProfile::set(PartyId id, PreferenceList list) {
   require(is_valid_preference_list(list, side_of(id, k_), k_),
           "PreferenceProfile::set: invalid list");
   lists_[id] = std::move(list);
-  inverse_[id].clear();  // invalidate the party's inverse-rank index
+  std::uint32_t* inv = inverse_.data() + std::size_t{id} * k_;
+  for (std::uint32_t i = 0; i < k_; ++i) inv[local(lists_[id][i])] = i;
 }
 
 const PreferenceList& PreferenceProfile::list(PartyId id) const {
   require(id < lists_.size(), "PreferenceProfile::list: bad id");
   return lists_[id];
-}
-
-void PreferenceProfile::build_inverse(PartyId id) const {
-  auto& inv = inverse_[id];
-  inv.assign(k_, UINT32_MAX);
-  const auto& l = lists_[id];
-  for (std::uint32_t i = 0; i < l.size(); ++i) {
-    inv[l[i] < k_ ? l[i] : l[i] - k_] = i;
-  }
 }
 
 bool PreferenceProfile::complete() const {

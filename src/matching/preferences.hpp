@@ -39,7 +39,8 @@ using PreferenceList = std::vector<PartyId>;
 class PreferenceProfile {
  public:
   PreferenceProfile() = default;
-  explicit PreferenceProfile(std::uint32_t k) : k_(k), lists_(2 * k), inverse_(2 * k) {}
+  explicit PreferenceProfile(std::uint32_t k)
+      : k_(k), lists_(2 * k), inverse_(std::size_t{2} * k * k, UINT32_MAX) {}
 
   [[nodiscard]] std::uint32_t k() const noexcept { return k_; }
   [[nodiscard]] std::uint32_t n() const noexcept { return 2 * k_; }
@@ -48,71 +49,61 @@ class PreferenceProfile {
   [[nodiscard]] const PreferenceList& list(PartyId id) const;
 
   /// Rank of `candidate` in `id`'s list: 0 = most preferred. Parties always
-  /// prefer any listed candidate over being alone. O(1): served from a
-  /// lazily-built inverse-rank index (built on the first rank query per
-  /// party, invalidated by set()). Defined inline — this is the
+  /// prefer any listed candidate over being alone. O(1): served from the
+  /// inverse-rank index that set() fills. Defined inline — this is the
   /// Gale-Shapley / stability-scan hot path and must fold into the caller's
-  /// loop like the flat rank table it replaced.
+  /// loop.
   [[nodiscard]] std::uint32_t rank(PartyId id, PartyId candidate) const {
     require(id < lists_.size(), "PreferenceProfile::rank: bad id");
-    const auto& inv = inverse_for(id);
-    const std::uint32_t local = candidate < k_ ? candidate : candidate - k_;
+    const std::uint32_t* inv = row(id);
     require(candidate < 2 * k_ && side_of(candidate, k_) != side_of(id, k_) &&
-                local < inv.size() && inv[local] != UINT32_MAX,
+                inv[local(candidate)] != UINT32_MAX,
             "PreferenceProfile::rank: candidate not in list");
-    return inv[local];
+    return inv[local(candidate)];
   }
 
-  /// Does `id` strictly prefer `a` over `b`? The index is fetched once and
+  /// Does `id` strictly prefer `a` over `b`? The row is fetched once and
   /// both candidates validated against it — not two rank() calls, which
-  /// would pay the id checks and the lazy-build branch twice per proposal.
+  /// would pay the id checks twice per proposal.
   [[nodiscard]] bool prefers(PartyId id, PartyId a, PartyId b) const {
     require(id < lists_.size(), "PreferenceProfile::rank: bad id");
-    const auto& inv = inverse_for(id);
+    const std::uint32_t* inv = row(id);
     const Side own = side_of(id, k_);
-    const std::uint32_t la = a < k_ ? a : a - k_;
-    const std::uint32_t lb = b < k_ ? b : b - k_;
-    require(a < 2 * k_ && side_of(a, k_) != own && la < inv.size() && inv[la] != UINT32_MAX,
+    require(a < 2 * k_ && side_of(a, k_) != own && inv[local(a)] != UINT32_MAX,
             "PreferenceProfile::rank: candidate not in list");
-    require(b < 2 * k_ && side_of(b, k_) != own && lb < inv.size() && inv[lb] != UINT32_MAX,
+    require(b < 2 * k_ && side_of(b, k_) != own && inv[local(b)] != UINT32_MAX,
             "PreferenceProfile::rank: candidate not in list");
-    return inv[la] < inv[lb];
+    return inv[local(a)] < inv[local(b)];
   }
 
   /// Hot-loop variant of prefers() with the argument validation elided:
-  /// two index loads and a compare, like the flat rank table it replaced.
+  /// two index loads and a compare.
   /// Preconditions (caller's responsibility): `id` has a valid list and
   /// `a`/`b` are in-range opposite-side ids — exactly what gale_shapley()
   /// establishes once via complete() before the proposal loop, instead of
   /// re-checking on each of its O(k^2) queries.
   [[nodiscard]] bool prefers_unchecked(PartyId id, PartyId a, PartyId b) const {
-    const auto& inv = inverse_for(id);
-    return inv[a < k_ ? a : a - k_] < inv[b < k_ ? b : b - k_];
+    const std::uint32_t* inv = row(id);
+    return inv[local(a)] < inv[local(b)];
   }
 
   /// All lists present and valid?
   [[nodiscard]] bool complete() const;
 
  private:
-  // Hot: one empty-check on the index row itself — build_inverse() leaves a
-  // non-empty row even for an unset list (all UINT32_MAX), so the branch
-  // settles after the first query and never touches lists_ again.
-  [[nodiscard]] const std::vector<std::uint32_t>& inverse_for(PartyId id) const {
-    auto& inv = inverse_[id];
-    if (inv.empty()) build_inverse(id);
-    return inv;
+  /// Every list ranks exactly one side, so candidate ids collapse onto [0, k).
+  [[nodiscard]] std::uint32_t local(PartyId candidate) const noexcept {
+    return candidate < k_ ? candidate : candidate - k_;
   }
-
-  void build_inverse(PartyId id) const;
+  [[nodiscard]] const std::uint32_t* row(PartyId id) const noexcept {
+    return inverse_.data() + std::size_t{id} * k_;
+  }
 
   std::uint32_t k_ = 0;
   std::vector<PreferenceList> lists_;
-  // inverse_[id][candidate mod k] = rank of candidate in id's list (every
-  // list ranks exactly one side, so candidate ids collapse onto [0, k)).
-  // Built lazily per party by rank(); set() clears the party's entry. Not
-  // safe to race a *first* rank query across threads — profiles are
-  // per-worker by construction (see core::SweepArena).
-  mutable std::vector<std::vector<std::uint32_t>> inverse_;
+  // inverse_[id * k + local(candidate)] = rank of candidate in id's list;
+  // UINT32_MAX in every slot of a party whose list was never set.
+  std::vector<std::uint32_t> inverse_;
 };
 
 }  // namespace bsm::matching

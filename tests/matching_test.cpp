@@ -1,7 +1,8 @@
 // Tests for the matching substrate: preference validation/codec, the
 // O(1) rank index, Gale-Shapley correctness (against the brute-force
 // oracle), stability analysis, the workload generators, and how the
-// complete-list model treats incomplete ones.
+// complete-list model treats incomplete ones and the one roommates
+// instance that is also a two-sided market.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,14 +66,19 @@ TEST(Preferences, RankAndPrefers) {
   EXPECT_EQ(p.rank(0, 2), 1U);
   EXPECT_TRUE(p.prefers(0, 3, 2));
   EXPECT_FALSE(p.prefers(0, 2, 3));
+  // Party 1's list was never set: its index row holds no rank, so queries
+  // throw instead of answering rank 0.
+  EXPECT_THROW((void)p.rank(1, 2), std::logic_error);
+  EXPECT_THROW((void)p.prefers(1, 2, 3), std::logic_error);
 }
 
 TEST(MaterializedProfile, RankIndexInvalidatesOnSet) {
-  // The O(1) inverse-rank index is built lazily and must be rebuilt after
-  // set() replaces a list — a stale index would report the old order.
+  // set() fills the party's row of the O(1) inverse-rank index and must
+  // refill it when it replaces a list — a stale row would report the old
+  // order.
   PreferenceProfile p = random_profile(6, 21);
   const PartyId id = 2;
-  EXPECT_EQ(p.rank(id, p.list(id)[0]), 0U);  // forces the index build
+  EXPECT_EQ(p.rank(id, p.list(id)[0]), 0U);
   PreferenceList reversed = p.list(id);
   std::reverse(reversed.begin(), reversed.end());
   p.set(id, reversed);
@@ -232,6 +238,20 @@ TEST(Stability, AllStableMatchingsNonEmptyOnRandom) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     EXPECT_FALSE(all_stable_matchings(random_profile(3, seed)).empty());
   }
+}
+
+// Stable roommates (one set of agents) is outside the paper's problem. Its
+// two-agent instance {{1}, {0}} is, in global ids, also the k = 1 two-sided
+// market, so Gale-Shapley decides it: one proposal pairs the two.
+TEST(Roommates, TrivialPair) {
+  PreferenceProfile p(1);
+  p.set(0, {1});
+  p.set(1, {0});
+  const auto result = gale_shapley(p);
+  EXPECT_EQ(result.matching[0], 1U);
+  EXPECT_EQ(result.matching[1], 0U);
+  EXPECT_EQ(result.proposals, 1U);
+  EXPECT_TRUE(is_stable(p, result.matching));
 }
 
 // Incomplete lists against the paper's fully-ordered model: a partial list

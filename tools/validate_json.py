@@ -22,15 +22,17 @@ Schemas (documented field-by-field in docs/BENCHMARKS.md):
   replay   `explore/fuzz --replay` document (envelope-free by contract)
   auto     dispatch on the envelope (default)
 
-Predicates (each only meaningful for the schema that defines it):
-  --require-ok             bench: overall ok; sweep: all_properties_held;
+Predicates (each fails on a schema that does not define it):
+  --require-ok             bench: overall ok; sweep: all_properties_held
+                           (of the report or the JSONL summary line);
                            replay: all_properties
   --require-cases N        bench: at least N cases present
   --require-no-violations  explore/fuzz: zero property violations;
                            replay: no round_limit_hit
   --min-execs N            explore/fuzz: the search spent >= N runs
   --require-metrics        sweep/explore/fuzz: the optional `metrics` block
-                           (from --metrics / --trace-out) must be present
+                           (from --metrics / --trace-out) must be present;
+                           a JSONL shard document never carries one
 
 Exits 0 when the document is schema-valid and every requested predicate
 holds. Prints every violation found, not just the first.
@@ -408,9 +410,18 @@ HEADER_FIELDS = {
 SUMMARY_FIELDS = {"type": str, "cells": int, "ran": int, "all_properties_held": bool}
 
 
+def checkpoint_due(g, every):
+    """Does the stream put a checkpoint line right before cell g? The rule
+    of `checkpoint_due` in core/shard.cpp."""
+    return g > 0 and g % every == 0
+
+
 def validate_sweep_jsonl(text, path):
     """A `sweep --out` shard document: header, cells in grid order with
-    interleaved checkpoints, then (when complete) the summary."""
+    the checkpoint lines due before them, then (when complete) the summary
+    of those cell lines. Walks the body the way `bsm_cli merge` does: every
+    checkpoint line due, no other, and `ran` / `all_properties_held`
+    recounted from the cell lines. Returns (errors, summary line or {})."""
     errors = []
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -424,10 +435,13 @@ def validate_sweep_jsonl(text, path):
             parsed.append(json.loads(line))
         except json.JSONDecodeError as e:
             errors.append(f"line {i + 1}: not JSON: {e}")
-            return errors
+            return errors, {}
+        if not isinstance(parsed[-1], dict):
+            errors.append(f"line {i + 1}: expected a JSON object")
+            return errors, {}
     if not parsed or parsed[0].get("type") != "header":
         errors.append("line 1: expected the header line")
-        return errors
+        return errors, {}
 
     header = parsed[0]
     check_fields(header, HEADER_FIELDS, "header", errors)
@@ -444,12 +458,15 @@ def validate_sweep_jsonl(text, path):
             isinstance(header.get("total_cells"), int) and
             begin <= end <= header["total_cells"]):
         errors.append("header: need begin <= end <= total_cells")
-        return errors
+        return errors, {}
     if not isinstance(every, int) or every < 1:
         errors.append("header: checkpoint_every must be >= 1")
-        return errors
+        return errors, {}
 
     next_cell = begin
+    checkpointed = False  # the checkpoint due before next_cell was seen
+    ran = 0
+    all_held = True
     summary = None
     for i, obj in enumerate(parsed[1:], start=2):
         kind = obj.get("type")
@@ -457,15 +474,25 @@ def validate_sweep_jsonl(text, path):
             errors.append(f"line {i}: data after the summary line")
             break
         if kind == "checkpoint":
-            if obj.get("next_cell") != next_cell or next_cell % every != 0:
+            due = next_cell < end and checkpoint_due(next_cell, every)
+            if obj.get("next_cell") != next_cell or not due or checkpointed:
                 errors.append(f"line {i}: checkpoint next_cell {obj.get('next_cell')} "
-                              f"out of place (expected {next_cell}, period {every})")
+                              f"out of place (expected one before each cell C > 0 "
+                              f"with C % {every} == 0)")
+            checkpointed = True
         elif kind == "cell":
+            if checkpoint_due(next_cell, every) and not checkpointed:
+                errors.append(f"line {i}: missing the checkpoint line due before "
+                              f"cell {next_cell}")
             if obj.get("cell") != next_cell:
                 errors.append(f"line {i}: cell index {obj.get('cell')}, "
                               f"expected {next_cell} (grid order)")
             validate_cell(obj, f"line {i}", errors)
+            if "protocol" in obj:
+                ran += 1
+                all_held &= obj.get("all_properties") is True
             next_cell += 1
+            checkpointed = False
         elif kind == "summary":
             summary = obj
             check_fields(obj, SUMMARY_FIELDS, f"line {i}", errors)
@@ -480,7 +507,14 @@ def validate_sweep_jsonl(text, path):
                           f"header promised [{begin}, {end})")
         if isinstance(summary.get("cells"), int) and summary["cells"] != end - begin:
             errors.append(f"summary: cells {summary['cells']} != end - begin {end - begin}")
-    return errors
+        if isinstance(summary.get("ran"), int) and summary["ran"] != ran:
+            errors.append(f"summary: ran {summary['ran']}, but {ran} cell line(s) "
+                          "carry a run")
+        if isinstance(summary.get("all_properties_held"), bool) and \
+                summary["all_properties_held"] != all_held:
+            errors.append(f"summary: all_properties_held {summary['all_properties_held']} "
+                          "disagrees with the cell lines")
+    return errors, summary or {}
 
 
 # ----------------------------------------------------------- explore/fuzz
@@ -712,34 +746,72 @@ def summarize(doc, schema, path):
             f"all_satisfied={doc.get('all_satisfied')}")
 
 
+# The schemas each verdict flag is defined for. A flag given for any other
+# schema fails with a `run verdict:` line rather than being ignored.
+VERDICT_SCHEMAS = {
+    "--require-ok": ("bench", "sweep", "replay"),
+    "--require-cases": ("bench",),
+    "--require-no-violations": ("explore", "fuzz", "replay"),
+    "--min-execs": ("explore", "fuzz"),
+    "--require-metrics": ("sweep", "explore", "fuzz"),
+}
+
+
+def verdict_errors(doc, schema, flags, jsonl):
+    """The run verdicts `flags` asks for, on an already-validated document
+    (for a JSONL shard document, `doc` is its summary line)."""
+    rep = doc.get("replay") if isinstance(doc.get("replay"), dict) else {}
+    counters = counters_block(doc, schema)
+    errors = []
+    for flag, value in flags.items():
+        if schema not in VERDICT_SCHEMAS[flag]:
+            errors.append(f"run verdict: {flag} does not apply to schema '{schema}'")
+        elif flag == "--require-ok":
+            field, held = {"bench": ("ok", doc.get("ok")),
+                           "sweep": ("all_properties_held", doc.get("all_properties_held")),
+                           "replay": ("all_properties", rep.get("all_properties"))}[schema]
+            if held is not True:
+                errors.append(f"run verdict: {field} is false (--require-ok)")
+        elif flag == "--require-cases":
+            if len(doc.get("cases", [])) < value:
+                errors.append(f"run verdict: only {len(doc.get('cases', []))} cases, "
+                              f"need >= {value} (--require-cases)")
+        elif flag == "--require-no-violations":
+            if schema == "replay":
+                if rep.get("round_limit_hit") is not False:
+                    errors.append("run verdict: round_limit_hit (--require-no-violations)")
+            elif counters.get("violations") != 0:
+                errors.append("run verdict: violations != 0 (--require-no-violations)")
+        elif flag == "--min-execs":
+            ran = counters.get("execs" if schema == "fuzz" else "explored")
+            if not isinstance(ran, int) or ran < value:
+                errors.append(f"run verdict: ran {ran} schedule(s), "
+                              f"need >= {value} (--min-execs)")
+        elif jsonl:  # --require-metrics
+            # The JSONL stream is contractually recorder-free: metrics land
+            # only in the envelope report, never in the shard document.
+            errors.append("run verdict: a JSONL shard document never carries "
+                          "metrics (--require-metrics)")
+        elif not isinstance(doc.get("metrics"), dict):
+            errors.append("run verdict: no metrics block — run with --metrics "
+                          "or --trace-out (--require-metrics)")
+    return errors
+
+
 def main(argv):
-    require_ok = False
-    require_cases = 0
-    require_clean = False
-    require_metrics = False
-    min_execs = None
+    flags = {}  # verdict flag -> True, or its integer value
     schema = "auto"
     args = []
     it = iter(argv[1:])
     for a in it:
-        if a == "--require-ok":
-            require_ok = True
-        elif a == "--require-cases":
+        if a in ("--require-ok", "--require-no-violations", "--require-metrics"):
+            flags[a] = True
+        elif a in ("--require-cases", "--min-execs"):
             value = next(it, None)
             if value is None or not value.isdigit():
-                print("--require-cases needs an integer", file=sys.stderr)
+                print(f"{a} needs an integer value", file=sys.stderr)
                 return 2
-            require_cases = int(value)
-        elif a == "--require-no-violations":
-            require_clean = True
-        elif a == "--require-metrics":
-            require_metrics = True
-        elif a == "--min-execs":
-            value = next(it, None)
-            if value is None or not value.isdigit():
-                print("--min-execs needs an integer value", file=sys.stderr)
-                return 2
-            min_execs = int(value)
+            flags[a] = int(value)
         elif a == "--schema":
             value = next(it, None)
             if value not in ("bench", "sweep", "explore", "fuzz", "replay", "auto"):
@@ -765,80 +837,47 @@ def main(argv):
         return 1
 
     # A JSONL shard document is not one JSON value; dispatch on its header.
-    if text.startswith('{"type": "header"'):
+    jsonl = text.startswith('{"type": "header"')
+    if jsonl:
         if schema not in ("sweep", "auto"):
             print(f"FAIL: {path}: a JSONL shard document is schema 'sweep', "
                   f"not '{schema}'", file=sys.stderr)
             return 1
-        errors = validate_sweep_jsonl(text, path)
-        if require_metrics:
-            # The JSONL stream is contractually recorder-free: metrics land
-            # only in the envelope report, never in the shard document.
-            errors.append("run verdict: a JSONL shard document never carries "
-                          "metrics (--require-metrics)")
-        for e in errors:
-            print(f"FAIL: {e}", file=sys.stderr)
-        if errors:
-            return 1
-        header = json.loads(text.split("\n", 1)[0])
-        print(f"OK: {path} [sweep jsonl]: shard {header.get('shard')} of "
-              f"{header.get('total_cells')} cell(s), git {header.get('git_sha')}")
-        return 0
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        print(f"FAIL: {path}: {e}", file=sys.stderr)
-        return 1
-    if not isinstance(doc, dict):
-        print(f"FAIL: {path}: top level: expected a JSON object", file=sys.stderr)
-        return 1
-
-    if schema == "auto":
-        schema = detect_schema(doc)
-
-    if schema == "bench":
-        errors = validate_bench(doc)
-        if require_ok and not doc.get("ok"):
-            errors.append("run verdict: ok is false (--require-ok)")
-        if require_cases and len(doc.get("cases", [])) < require_cases:
-            errors.append(f"run verdict: only {len(doc.get('cases', []))} cases, "
-                          f"need >= {require_cases} (--require-cases)")
-    elif schema == "sweep":
-        errors = validate_sweep_json(doc)
-        if require_ok and doc.get("all_properties_held") is not True:
-            errors.append("run verdict: all_properties_held is false (--require-ok)")
-    elif schema == "replay":
-        errors = validate_replay(doc)
-        rep = doc.get("replay", {}) if isinstance(doc.get("replay"), dict) else {}
-        if require_ok and rep.get("all_properties") is not True:
-            errors.append("run verdict: all_properties is false (--require-ok)")
-        if require_clean and rep.get("round_limit_hit") is not False:
-            errors.append("run verdict: round_limit_hit (--require-no-violations)")
+        schema = "sweep"
+        errors, doc = validate_sweep_jsonl(text, path)
     else:
-        errors = validate_sched(doc, schema)
-        counters = counters_block(doc, schema)
-        if require_clean and counters.get("violations") != 0:
-            errors.append("run verdict: violations != 0 (--require-no-violations)")
-        if min_execs is not None:
-            ran = counters.get("execs" if schema == "fuzz" else "explored")
-            if not isinstance(ran, int) or ran < min_execs:
-                errors.append(f"run verdict: ran {ran} schedule(s), "
-                              f"need >= {min_execs} (--min-execs)")
-
-    if require_metrics:
-        if schema not in ("sweep", "explore", "fuzz"):
-            errors.append(f"run verdict: schema '{schema}' never carries "
-                          "metrics (--require-metrics)")
-        elif not isinstance(doc.get("metrics"), dict):
-            errors.append("run verdict: no metrics block — run with --metrics "
-                          "or --trace-out (--require-metrics)")
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            print(f"FAIL: {path}: {e}", file=sys.stderr)
+            return 1
+        if not isinstance(doc, dict):
+            print(f"FAIL: {path}: top level: expected a JSON object", file=sys.stderr)
+            return 1
+        if schema == "auto":
+            schema = detect_schema(doc)
+        if schema == "bench":
+            errors = validate_bench(doc)
+        elif schema == "sweep":
+            errors = validate_sweep_json(doc)
+        elif schema == "replay":
+            errors = validate_replay(doc)
+        else:
+            errors = validate_sched(doc, schema)
+    errors += verdict_errors(doc, schema, flags, jsonl)
 
     for e in errors:
         print(f"FAIL: {e}", file=sys.stderr)
     if errors:
         return 1
-    print(summarize(doc, schema, path))
+    if jsonl:
+        header = json.loads(text.split("\n", 1)[0])
+        print(f"OK: {path} [sweep jsonl]: shard {header.get('shard')} of "
+              f"{header.get('total_cells')} cell(s), {doc.get('ran')} ran, "
+              f"all_properties_held={doc.get('all_properties_held')}, "
+              f"git {header.get('git_sha')}")
+    else:
+        print(summarize(doc, schema, path))
     return 0
 
 
