@@ -23,7 +23,7 @@ void register_sweep_scheduler();      // work-stealing vs static partitioning
 void register_oracle_cache();         // memoized solvability oracle
 void register_broadcast_kernel();     // flat tally/quorum/verify kernel
 void register_sched();                // delivery schedules + explorer
-void register_scale();                // big-n: rank index, PartySet blocks, engine
+void register_scale();                // big-n: rank index, engine at n = 16384
 void register_obs();                  // recorder overhead + determinism identity
 
 /// Register every group (the full suite: the experiment families in

@@ -1,7 +1,6 @@
-// Big-n scale cases: the materialized O(1) rank index, the PartySet block
-// popcount kernels at 10^6-bit sets, and an engine run at n = 16384, where
-// per-channel n x n counters would not fit. The engine keeps totals-only
-// traffic stats, so its state is O(n) (asserted by
+// Big-n scale cases: the materialized O(1) rank index and an engine run at
+// n = 16384, where per-channel n x n counters would not fit. The engine
+// keeps totals-only traffic stats, so its state is O(n) (asserted by
 // tests/scale_guard_test.cpp); the bench rows put throughput numbers on
 // that shape.
 #include <cstdint>
@@ -9,7 +8,6 @@
 
 #include "cases/cases.hpp"
 #include "common/hash.hpp"
-#include "common/party_set.hpp"
 #include "core/bench.hpp"
 #include "matching/generators.hpp"
 #include "net/engine.hpp"
@@ -38,31 +36,6 @@ using core::BenchRun;
     }
   }
   run.cells = static_cast<std::size_t>(2) * k * k;
-  run.digest = h;
-  run.ok = ok;
-  return run;
-}
-
-/// PartySet block-popcount kernels at 10^6-bit sets: count / count_and /
-/// count_and2 sweeps, cross-checked against each other.
-[[nodiscard]] BenchRun run_partyset_blocks(std::uint32_t n, std::uint32_t sweeps) {
-  BenchRun run;
-  core::PartySet holders(n);
-  for (std::uint32_t p = 0; p < n; p += 3) holders.insert(p);
-  const core::PartySet left = core::PartySet::range(0, n / 2);
-  const core::PartySet right = core::PartySet::range(n / 2, n);
-  std::uint64_t h = splitmix64(n);
-  bool ok = true;
-  for (std::uint32_t s = 0; s < sweeps; ++s) {
-    holders.insert(s % n);  // perturb so sweeps don't fold to one value
-    const std::uint32_t total = holders.count();
-    const std::uint32_t cl = holders.count_and(left);
-    const std::uint32_t cr = holders.count_and(right);
-    const auto [cl2, cr2] = holders.count_and2(left, right);
-    ok &= cl == cl2 && cr == cr2 && cl + cr == total;
-    h = hash_combine(h, splitmix64((std::uint64_t{total} << 32) | cl));
-  }
-  run.cells = sweeps;
   run.digest = h;
   run.ok = ok;
   return run;
@@ -117,8 +90,6 @@ class RingFlooder final : public net::Process {
 void register_scale() {
   core::register_bench({"scale/materialized_rank_index_k1024",
                         [](const BenchContext&) { return run_materialized_rank_index(1024, 42); }});
-  core::register_bench({"scale/partyset_blocks_n1e6",
-                        [](const BenchContext&) { return run_partyset_blocks(1'000'000, 64); }});
   core::register_bench({"scale/sparse_ring_n16384",
                         [](const BenchContext&) { return run_sparse_ring(8192, 8); }});
 }

@@ -71,8 +71,7 @@ class Quorums {
  private:
   [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> split(
       const core::PartySet& holders) const noexcept {
-    // One pass over the holder words, counted against both side masks.
-    return holders.count_and2(left_, right_);
+    return {holders.count_and(left_), holders.count_and(right_)};
   }
 
   core::PartySet left_;   ///< product only: mask of side-L ids [0, k)

@@ -4,11 +4,17 @@
 #include <cstdint>
 #include <string>
 
+#include "common/party_set.hpp"
 #include "common/types.hpp"
 #include "net/process.hpp"
 #include "net/topology.hpp"
 
 namespace bsm::core {
+
+/// The largest market the library runs: a market's n = 2k parties must fit
+/// one PartySet. assemble_run() refuses a larger k, and every bsm_cli
+/// subcommand bounds its --k by this constant.
+inline constexpr std::uint32_t kMaxK = PartySet::kCapacity / 2;
 
 /// A bSM setting: topology, cryptographic assumptions, market size, and the
 /// per-side corruption budgets the protocol must tolerate.

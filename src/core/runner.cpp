@@ -1,5 +1,8 @@
 #include "core/runner.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/party_set.hpp"
 #include "core/oracle.hpp"
 
@@ -25,6 +28,10 @@ std::unique_ptr<BsmProcess> honest_process_for(const RunSpec& spec, PartyId id,
 
 AssembledRun assemble_run(RunSpec spec) {
   const BsmConfig& cfg = spec.config;
+  if (cfg.k > kMaxK) {
+    throw std::logic_error("run_bsm: k = " + std::to_string(cfg.k) + " is above core::kMaxK = " +
+                           std::to_string(kMaxK) + ": a market's 2k parties must fit a PartySet");
+  }
   require(spec.inputs.k() == cfg.k, "run_bsm: inputs sized for a different market");
   const ProtocolSpec proto = spec_for(spec);
 

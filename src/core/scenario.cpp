@@ -132,15 +132,11 @@ namespace {
   throw std::logic_error("materialize: unknown adversary kind");
 }
 
-/// The schedule's fault envelope for a cell: CorruptAdjacent targets the
-/// scenario's corrupted ids, AllChannels targets every party.
+/// The schedule's fault envelope for a cell: it targets the scenario's
+/// corrupted ids, so a perturbed run stays inside the setting's guarantees.
 [[nodiscard]] net::FaultEnvelope envelope_for(const ScenarioSpec& scenario) {
   net::FaultEnvelope env;
-  if (scenario.sched.scope == sched::PolicyDesc::Scope::AllChannels) {
-    env.targets = PartySet::universe(scenario.config.n());
-  } else {
-    for (const auto& desc : scenario.adversaries) env.targets.insert(desc.id);
-  }
+  for (const auto& desc : scenario.adversaries) env.targets.insert(desc.id);
   env.max_delay = scenario.sched.max_delay;
   env.omission_budget = scenario.sched.omission_budget;
   return env;

@@ -76,10 +76,9 @@ struct ScenarioSpec {
   std::optional<ProtocolSpec> forced_spec;  ///< attack experiments only
 
   /// Delivery schedule for the cell (default: the synchronous identity,
-  /// which materializes to the engine's zero-overhead fast path). With
-  /// Scope::CorruptAdjacent the schedule's fault envelope targets exactly
-  /// the `adversaries` ids, so a perturbed run stays inside the setting's
-  /// byzantine guarantees.
+  /// which materializes to the engine's zero-overhead fast path). The
+  /// schedule's fault envelope targets exactly the `adversaries` ids, so a
+  /// perturbed run stays inside the setting's byzantine guarantees.
   sched::PolicyDesc sched;
 
   /// Engine-round guard (copied into RunSpec::max_rounds): 0 resolves to

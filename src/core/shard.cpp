@@ -304,7 +304,10 @@ std::uint64_t scenario_digest(const ScenarioSpec& scenario) {
     w.u32(spec.total_rounds);
   }
   w.u8(static_cast<std::uint8_t>(scenario.sched.kind));
-  w.u8(static_cast<std::uint8_t>(scenario.sched.scope));
+  // Reserved byte, always 0: it stands where a channel-scope byte was
+  // folded (0 for every cell), so grid_digest and the headers of existing
+  // shards stay byte-identical.
+  w.u8(0);
   w.u64(scenario.sched.seed);
   w.u32(scenario.sched.max_delay);
   w.u32(scenario.sched.delay_permille);

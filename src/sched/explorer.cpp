@@ -54,8 +54,6 @@ class Search {
     std::vector<std::uint64_t> violating_views;
 
     for (std::size_t depth = 1; depth <= opts_.max_depth && !frontier.empty(); ++depth) {
-      report.depth_reached = depth;
-
       // Generate this wave's candidates in canonical order. A slot the
       // parent already perturbs is skipped outright: ScriptedPolicy keys
       // ops by (round, from, to), so a second op on the same slot would
@@ -86,6 +84,7 @@ class Search {
         if (report.truncated) break;
       }
       if (wave.empty()) break;
+      report.depth_reached = depth;  // only a depth that runs a schedule counts
 
       // Run the wave in parallel; fold results in candidate order so the
       // report is thread-count independent.

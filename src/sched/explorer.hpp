@@ -69,6 +69,7 @@ struct ExplorerReport : SearchFindings {
   /// Schedules whose trail duplicated an earlier schedule's (equivalent
   /// states); their extension subtrees were skipped.
   std::size_t pruned = 0;
+  /// Deepest depth whose wave ran a schedule (0: only the root ran).
   std::size_t depth_reached = 0;
   bool truncated = false;  ///< hit max_schedules before exhausting max_depth
 };

@@ -67,7 +67,9 @@ bool Fuzzer::within_envelope(const ScheduleTrace& trace, const net::FaultEnvelop
 
 bool Fuzzer::admissible(const ScheduleTrace& trace) const {
   if (trace.ops.size() > opts_.max_ops) return false;
+  const std::uint32_t n = scenario_.config.n();
   for (const ScheduleOp& op : trace.ops) {
+    if (op.from >= n || op.to >= n) return false;  // a party the scenario lacks
     if (op.kind == ScheduleOp::Kind::Drop && !opts_.allow_drop) return false;
     if (op.kind == ScheduleOp::Kind::Delay && !opts_.allow_delay) return false;
     if (op.kind == ScheduleOp::Kind::Rank && !opts_.allow_reorder) return false;

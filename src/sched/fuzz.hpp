@@ -160,8 +160,8 @@ class Fuzzer {
     std::uint64_t energy = 1;
   };
 
-  /// Is `trace` a seed the corpus may adopt (in-envelope, allowed op
-  /// kinds, within max_ops)?
+  /// Is `trace` a seed the corpus may adopt (only the scenario's parties,
+  /// in-envelope, allowed op kinds, within max_ops)?
   [[nodiscard]] bool admissible(const ScheduleTrace& trace) const;
 
   /// Canonical order + one op per (round, from, to) slot + envelope

@@ -2,8 +2,8 @@
 // pure-value PolicyDesc the scenario layer fans out over.
 //
 // Layering: this file sees only src/net and src/common. The scenario
-// integration (which corrupted parties exist, hence what the default
-// CorruptAdjacent fault envelope is) happens in core/scenario.cpp, which
+// integration (which corrupted parties exist, hence what the
+// corrupt-adjacent fault envelope is) happens in core/scenario.cpp, which
 // calls make_policy() with the envelope already resolved.
 //
 // Determinism: every policy's verdicts are a pure function of its seed and
@@ -34,14 +34,7 @@ struct PolicyDesc {
     Scripted,          ///< replay a ScheduleTrace
   };
 
-  /// Which channels the policy may perturb. CorruptAdjacent restricts to
-  /// channels with a corrupted endpoint — schedules the protocol must
-  /// tolerate, so sweeps stay inside the solvable region's guarantees.
-  /// AllChannels removes the restriction (violation hunting).
-  enum class Scope : std::uint8_t { CorruptAdjacent, AllChannels };
-
   Kind kind = Kind::Synchronous;
-  Scope scope = Scope::CorruptAdjacent;
   std::uint64_t seed = 0;              ///< RandomDelay verdict stream
   Round max_delay = 2;                 ///< RandomDelay delay bound (>= 1)
   std::uint32_t delay_permille = 250;  ///< RandomDelay per-envelope delay odds
@@ -133,11 +126,11 @@ class ScriptedPolicy final : public net::DeliveryPolicy {
   std::uint64_t applied_ = 0;
 };
 
-/// Materialize `desc` against the run's fault envelope (the caller — the
-/// scenario layer — resolves Scope into concrete targets; AllChannels
-/// arrives here as a universe target set). Returns nullptr for the
-/// synchronous desc: the engine's null-policy fast path IS the synchronous
-/// schedule, so sweeps pay zero overhead until a cell actually perturbs.
+/// Materialize `desc` against the run's fault envelope (built by the
+/// scenario layer from the scenario's corrupted ids). Returns nullptr for
+/// the synchronous desc: the engine's null-policy fast path IS the
+/// synchronous schedule, so sweeps pay zero overhead until a cell actually
+/// perturbs.
 [[nodiscard]] std::unique_ptr<net::DeliveryPolicy> make_policy(const PolicyDesc& desc,
                                                                net::FaultEnvelope envelope);
 

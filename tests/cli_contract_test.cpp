@@ -127,9 +127,9 @@ TEST(CliContract, BadValuesExitTwo) {
 }
 
 TEST(CliContract, ScheduleWithOutOfRangePartyExitsTwo) {
-  // An id the scenario does not have is a bad trace, not a run: the
-  // scripted policy's fault envelope would size a bitset for it (about
-  // 500 MB for this one) before any round ran.
+  // An id the scenario does not have is a bad trace, not a run: a clean
+  // exit 2 before any round, where the scripted policy's fault envelope
+  // would throw on an id beyond the PartySet capacity.
   const std::string trace = "\"drop@0:4000000000>1\"";
   for (const char* sub : {"explore", "fuzz"}) {
     const auto result = run_cli(std::string(sub) + " --k 2 --replay " + trace);
@@ -316,7 +316,10 @@ TEST(CliContract, ExploreRejectsUnsolvableSettings) {
 }
 
 TEST(CliContract, SweepShardAndResumeRequireOut) {
-  for (const char* args : {"sweep --shard 1/2", "sweep --resume"}) {
+  for (const char* args :
+       {"sweep --shard 1/2", "sweep --resume",
+        "sweep --k 2 --seeds 1 --battery silent --topology fully --auth on "
+        "--checkpoint-every 5"}) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.exit_code, 2) << args;
     EXPECT_NE(result.output.find("--out"), std::string::npos)
@@ -520,7 +523,7 @@ TEST(CliContract, RecorderOnOutputBytesAreIdenticalOutsideMetrics) {
   fs::create_directories(dir);
   const std::string grid =
       "sweep --topology fully --auth on --k 2 --tl 0,1,2 --tr 0,1 --seeds 2 "
-      "--battery silent,liars --checkpoint-every 4 ";
+      "--battery silent,liars ";
   const std::string trace_path = (dir / "trace.json").string();
 
   const auto strip_metrics = [](const std::string& report) {
@@ -549,11 +552,11 @@ TEST(CliContract, RecorderOnOutputBytesAreIdenticalOutsideMetrics) {
 
   // JSONL byte-identity under work-stealing at two further thread counts.
   const std::string plain_jsonl = (dir / "plain.jsonl").string();
-  EXPECT_EQ(run_cli(grid + "--threads 2 --out " + plain_jsonl).exit_code, 0);
+  EXPECT_EQ(run_cli(grid + "--threads 2 --checkpoint-every 4 --out " + plain_jsonl).exit_code, 0);
   for (const char* threads : {"--threads 3", "--threads 4"}) {
     const std::string obs_jsonl = (dir / "obs.jsonl").string();
     fs::remove(obs_jsonl);
-    const auto observed = run_cli(grid + threads + " --out " + obs_jsonl +
+    const auto observed = run_cli(grid + threads + " --checkpoint-every 4 --out " + obs_jsonl +
                                   " --metrics --progress=1 --trace-out " + trace_path);
     EXPECT_EQ(observed.exit_code, 0) << threads << "\n" << observed.output;
     EXPECT_EQ(read_file(obs_jsonl), read_file(plain_jsonl))

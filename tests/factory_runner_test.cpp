@@ -2,6 +2,9 @@
 // the topology, budget validation, forced specs, slack handling.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "adversary/strategies.hpp"
 #include "core/oracle.hpp"
 #include "core/runner.hpp"
@@ -92,6 +95,18 @@ TEST(Runner, RejectsMismatchedInputSize) {
   spec.config = BsmConfig{TopologyKind::FullyConnected, true, 3, 0, 0};
   spec.inputs = matching::random_profile(2, 1);  // wrong k
   EXPECT_THROW((void)run_bsm(std::move(spec)), std::logic_error);
+
+  // A market above core::kMaxK is refused, with inputs of its own size,
+  // by a message that names the cap.
+  RunSpec big;
+  big.config = BsmConfig{TopologyKind::FullyConnected, true, kMaxK + 1, 0, 0};
+  big.inputs = matching::random_profile(kMaxK + 1, 1);
+  try {
+    (void)run_bsm(std::move(big));
+    ADD_FAILURE() << "run_bsm ran a k = 65 market";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("core::kMaxK = 64"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Runner, ForcedSpecOverridesSolvability) {

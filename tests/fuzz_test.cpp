@@ -290,8 +290,17 @@ TEST(FuzzCorpus, PersistsAcrossRunsAndSeedsTheNext) {
   Fuzzer second(deep_scenario(), opts);
   const FuzzReport r2 = second.run();
   EXPECT_GT(r2.corpus_loaded, 0U);
-
   std::filesystem::remove_all(dir);
+
+  // A hand-written seed naming a party the scenario lacks is skipped, not
+  // run: a policy over it would refuse an id beyond the PartySet capacity.
+  const std::string far = fresh_dir("far");
+  std::filesystem::create_directories(far);
+  std::ofstream(far + "/far.trace") << "drop@1:0>4000000000\n";
+  opts.corpus_dir = far;
+  Fuzzer third(deep_scenario(), opts);
+  EXPECT_EQ(third.run().corpus_loaded, 0U);
+  std::filesystem::remove_all(far);
 }
 
 // ------------------------------------- the engineered 3-op deep violation

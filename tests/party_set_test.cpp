@@ -1,13 +1,13 @@
 // Differential coverage for core::PartySet against the std::set<PartyId>
 // reference it replaced in the broadcast hot path: randomized
 // insert/erase/count/contains/iteration agreement, >64-party sets spanning
-// multiple words, the masked side counts the product quorums use, and the
-// boundary between the inline words (ids < 128) and a spilled heap block:
-// membership, copy and move across the two representations, and mixed
-// operands.
+// both words, the masked side counts the product quorums use, and the
+// capacity edge: ids up to 127 are members like any other, and id 128 is
+// refused by insert and never a member.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "common/party_set.hpp"
@@ -35,17 +35,34 @@ TEST(PartySet, BasicMembershipAndCount) {
   EXPECT_TRUE(s.contains(3));
   EXPECT_TRUE(s.contains(70));
   EXPECT_FALSE(s.contains(4));
-  EXPECT_FALSE(s.contains(1000));  // beyond allocated words
   s.erase(3);
   EXPECT_FALSE(s.contains(3));
   EXPECT_EQ(s.count(), 1U);
-  s.erase(999);  // out of range: no-op
-  EXPECT_EQ(s.count(), 1U);
+
+  // Beyond the capacity: insert throws, contains and erase are no-ops.
+  EXPECT_THROW(s.insert(PartySet::kCapacity), std::logic_error);
+  EXPECT_FALSE(s.contains(PartySet::kCapacity));
+  EXPECT_FALSE(s.contains(1000));
+  s.erase(PartySet::kCapacity);
+  s.erase(999);
+  EXPECT_EQ(members_of(s), std::vector<PartyId>{70});
+
+  // Equality is over members: an insert undone by erase leaves no trace.
+  PartySet a;
+  a.insert(5);
+  PartySet b;
+  b.insert(5);
+  b.insert(100);
+  b.erase(100);
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(b == a);
+  b.insert(100);
+  EXPECT_FALSE(a == b);
 }
 
 TEST(PartySet, InitializerListAndIterationOrder) {
-  const PartySet s{9, 2, 65, 0, 128};
-  EXPECT_EQ(members_of(s), (std::vector<PartyId>{0, 2, 9, 65, 128}));
+  const PartySet s{9, 2, 65, 0, 127};
+  EXPECT_EQ(members_of(s), (std::vector<PartyId>{0, 2, 9, 65, 127}));
 }
 
 TEST(PartySet, UniverseAndRange) {
@@ -55,29 +72,21 @@ TEST(PartySet, UniverseAndRange) {
   EXPECT_TRUE(u.contains(66));
   EXPECT_FALSE(u.contains(67));
 
-  const PartySet r = PartySet::range(64, 130);
-  EXPECT_EQ(r.count(), 130U - 64U);
-  EXPECT_FALSE(r.contains(63));
-  EXPECT_TRUE(r.contains(64));
-  EXPECT_TRUE(r.contains(129));
-  EXPECT_FALSE(r.contains(130));
-}
+  const PartySet r = PartySet::range(60, 100);
+  EXPECT_EQ(r.count(), 100U - 60U);
+  EXPECT_FALSE(r.contains(59));
+  EXPECT_TRUE(r.contains(60));
+  EXPECT_TRUE(r.contains(99));
+  EXPECT_FALSE(r.contains(100));
 
-TEST(PartySet, EqualityIgnoresTrailingZeroWords) {
-  PartySet a;
-  a.insert(5);
-  PartySet b;
-  b.insert(5);
-  b.insert(200);
-  b.erase(200);  // words allocated but zero
-  EXPECT_TRUE(a == b);
-  EXPECT_TRUE(b == a);
-  b.insert(200);
-  EXPECT_FALSE(a == b);
+  const PartySet full = PartySet::universe(PartySet::kCapacity);
+  EXPECT_EQ(full.count(), PartySet::kCapacity);
+  EXPECT_TRUE(full.contains(127));
+  EXPECT_EQ(full.count_and(PartySet::range(64, 128)), 64U);
 }
 
 TEST(PartySet, ClearKeepsCapacityAndEmptiesTheSet) {
-  PartySet s{1, 70, 300};
+  PartySet s{1, 70, 127};
   s.clear();
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.count(), 0U);
@@ -87,11 +96,10 @@ TEST(PartySet, ClearKeepsCapacityAndEmptiesTheSet) {
 }
 
 TEST(PartySet, RandomizedDifferentialAgainstStdSet) {
-  // Ids span several words and cross the inline/heap boundary at 128; a
-  // copy and a move round trip ride along, so every operation is checked
-  // on sets that spilled mid-sequence as well as on inline ones.
+  // Ids stay in word 0, span both words or fill the capacity; a copy round
+  // trip rides along, so every operation is also checked on copies.
   Rng rng(2024);
-  const std::uint32_t bounds[4] = {60, 128, 129, 300};
+  const std::uint32_t bounds[4] = {60, 64, 100, 128};
   for (int round = 0; round < 60; ++round) {
     PartySet flat;
     std::set<PartyId> ref;
@@ -109,9 +117,8 @@ TEST(PartySet, RandomizedDifferentialAgainstStdSet) {
       if (op % 25 == 0) {
         const PartySet copy = flat;
         ASSERT_TRUE(copy == flat);
-        PartySet moved = std::move(flat);
-        ASSERT_TRUE(flat.empty());
-        flat = std::move(moved);
+        flat.clear();
+        flat = copy;
         ASSERT_EQ(members_of(flat), std::vector<PartyId>(ref.begin(), ref.end()));
       }
     }
@@ -122,8 +129,8 @@ TEST(PartySet, RandomizedDifferentialAgainstStdSet) {
 }
 
 TEST(PartySet, MembershipAtTheInlineBoundary) {
-  // Words 0 and 1 are inline; id 128 is the first that spills.
-  for (const PartyId p : {63U, 64U, 127U, 128U, 200U}) {
+  // Word 0 holds ids 0..63 and word 1 ids 64..127; 128 is out of range.
+  for (const PartyId p : {0U, 63U, 64U, 127U}) {
     PartySet s;
     s.insert(p);
     EXPECT_TRUE(s.contains(p)) << p;
@@ -134,90 +141,21 @@ TEST(PartySet, MembershipAtTheInlineBoundary) {
     s.erase(p);
     EXPECT_TRUE(s.empty()) << p;
   }
-  PartySet all{63, 64, 127, 128, 200};
-  EXPECT_EQ(all.count(), 5U);
-  EXPECT_EQ(members_of(all), (std::vector<PartyId>{63, 64, 127, 128, 200}));
-  EXPECT_FALSE(all.contains(129));
-  EXPECT_FALSE(all.contains(199));
-  EXPECT_FALSE(all.contains(201));
-}
-
-TEST(PartySet, CopyAndMoveAcrossInlineAndSpilled) {
-  const PartySet inline_set{1, 64, 127};
-  const PartySet spilled{2, 128, 300};
-
-  // Copy construction and assignment in all four directions.
-  PartySet a = inline_set;
-  EXPECT_EQ(members_of(a), (std::vector<PartyId>{1, 64, 127}));
-  a = spilled;  // inline -> spilled
-  EXPECT_EQ(members_of(a), (std::vector<PartyId>{2, 128, 300}));
-  a = inline_set;  // spilled -> inline contents (keeps its heap block)
-  EXPECT_EQ(members_of(a), (std::vector<PartyId>{1, 64, 127}));
-  EXPECT_FALSE(a.contains(300));
-  EXPECT_TRUE(a == inline_set);
-  PartySet b = spilled;
-  b = spilled;
-  EXPECT_TRUE(b == spilled);
-  const PartySet& same = b;
-  b = same;  // self-assignment
-  EXPECT_TRUE(b == spilled);
-
-  // Moves: a moved-from set is empty and reusable in either representation.
-  PartySet from_spilled = spilled;
-  PartySet to_spilled = std::move(from_spilled);
-  EXPECT_TRUE(to_spilled == spilled);
-  EXPECT_TRUE(from_spilled.empty());
-  EXPECT_EQ(from_spilled.count(), 0U);
-  from_spilled.insert(500);
-  from_spilled.insert(3);
-  EXPECT_EQ(members_of(from_spilled), (std::vector<PartyId>{3, 500}));
-
-  PartySet from_inline = inline_set;
-  PartySet to_inline = std::move(from_inline);
-  EXPECT_TRUE(to_inline == inline_set);
-  EXPECT_TRUE(from_inline.empty());
-  from_inline.insert(7);
-  EXPECT_EQ(members_of(from_inline), std::vector<PartyId>{7});
-
-  // Move assignment over a spilled target, then back over an inline one.
-  PartySet target = spilled;
-  PartySet source = inline_set;
-  target = std::move(source);
-  EXPECT_TRUE(target == inline_set);
-  EXPECT_FALSE(target.contains(128));
-  EXPECT_TRUE(source.empty());
-  source = std::move(to_spilled);
-  EXPECT_TRUE(source == spilled);
-  EXPECT_TRUE(to_spilled.empty());
-  to_spilled.insert(128);
-  EXPECT_TRUE(to_spilled.contains(128));
-}
-
-TEST(PartySet, MixedRepresentationOperandsAgree) {
-  // One operand inline, the other spilled, in both orders.
-  PartySet small{3, 70, 100};
-  PartySet big{3, 70, 100};
-  big.insert(400);
-  big.erase(400);  // spilled, trailing words zero
-  EXPECT_TRUE(small == big);
-  EXPECT_TRUE(big == small);
-  big.insert(130);
-  EXPECT_FALSE(small == big);
-  EXPECT_FALSE(big == small);
-
-  EXPECT_EQ(small.count_and(big), 3U);
-  EXPECT_EQ(big.count_and(small), 3U);
-  const PartySet left = PartySet::range(0, 64);
-  const PartySet wide = PartySet::range(64, 260);
-  EXPECT_EQ(big.count_and2(left, wide), (std::pair<std::uint32_t, std::uint32_t>{1, 3}));
-  EXPECT_EQ(small.count_and2(wide, left), (std::pair<std::uint32_t, std::uint32_t>{2, 1}));
-  EXPECT_EQ(wide.count_and2(small, big), (std::pair<std::uint32_t, std::uint32_t>{2, 3}));
+  PartySet all{0, 63, 64, 127};
+  EXPECT_EQ(all.count(), 4U);
+  EXPECT_EQ(members_of(all), (std::vector<PartyId>{0, 63, 64, 127}));
+  EXPECT_FALSE(all.contains(1));
+  EXPECT_FALSE(all.contains(62));
+  EXPECT_FALSE(all.contains(65));
+  EXPECT_FALSE(all.contains(126));
+  EXPECT_FALSE(all.contains(128));
 }
 
 TEST(PartySet, MaskedCountsMatchSetIntersection) {
-  // Both-sides product masks over a 2k universe with k crossing one word.
+  // Both-sides product masks over a 2k universe: within word 0, with side
+  // R crossing into word 1, and at the largest market (k = 64).
   Rng rng(7);
-  for (const std::uint32_t k : {3U, 8U, 40U, 70U}) {
+  for (const std::uint32_t k : {3U, 8U, 40U, 64U}) {
     const PartySet left = PartySet::range(0, k);
     const PartySet right = PartySet::range(k, 2 * k);
     PartySet holders;
@@ -235,57 +173,6 @@ TEST(PartySet, MaskedCountsMatchSetIntersection) {
     EXPECT_EQ(holders.count_and(holders), holders.count());
     EXPECT_EQ(left.count_and(right), 0U);
   }
-}
-
-TEST(PartySet, CountAndClipsMismatchedWordCounts) {
-  // Regression: the AND sweep must iterate the *shorter* word span in both
-  // directions — sets grow on demand, so operands routinely differ in
-  // allocated words, and ids beyond either operand's words cannot intersect.
-  PartySet small;
-  small.insert(5);
-  PartySet big;
-  big.insert(5);
-  big.insert(900);  // 15 words vs small's 1
-  EXPECT_EQ(small.count_and(big), 1U);
-  EXPECT_EQ(big.count_and(small), 1U);
-
-  const PartySet empty;
-  EXPECT_EQ(empty.count_and(big), 0U);
-  EXPECT_EQ(big.count_and(empty), 0U);
-  EXPECT_EQ(empty.count_and(empty), 0U);
-
-  // Spans long enough to exercise the unrolled 4-word main loop plus tail.
-  PartySet a = PartySet::range(0, 500);
-  PartySet b = PartySet::range(250, 1000);
-  EXPECT_EQ(a.count_and(b), 250U);
-  EXPECT_EQ(b.count_and(a), 250U);
-}
-
-TEST(PartySet, CountAnd2MatchesTwoCountAndCalls) {
-  Rng rng(99);
-  for (int round = 0; round < 40; ++round) {
-    PartySet holders;
-    PartySet ma;
-    PartySet mb;
-    // Deliberately unequal word counts across the three operands.
-    const std::uint32_t bounds[3] = {static_cast<std::uint32_t>(1 + rng.below(700)),
-                                     static_cast<std::uint32_t>(1 + rng.below(700)),
-                                     static_cast<std::uint32_t>(1 + rng.below(700))};
-    for (std::uint32_t i = 0; i < 120; ++i) {
-      holders.insert(static_cast<PartyId>(rng.below(bounds[0])));
-      ma.insert(static_cast<PartyId>(rng.below(bounds[1])));
-      mb.insert(static_cast<PartyId>(rng.below(bounds[2])));
-    }
-    const auto [ca, cb] = holders.count_and2(ma, mb);
-    ASSERT_EQ(ca, holders.count_and(ma));
-    ASSERT_EQ(cb, holders.count_and(mb));
-  }
-  // Degenerate shapes.
-  const PartySet empty;
-  const PartySet one{3};
-  EXPECT_EQ(empty.count_and2(one, one), (std::pair<std::uint32_t, std::uint32_t>{0, 0}));
-  EXPECT_EQ(one.count_and2(empty, one), (std::pair<std::uint32_t, std::uint32_t>{0, 1}));
-  EXPECT_EQ(one.count_and2(one, empty), (std::pair<std::uint32_t, std::uint32_t>{1, 0}));
 }
 
 }  // namespace

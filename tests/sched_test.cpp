@@ -14,6 +14,8 @@
 //     violating run bit for bit.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/sweep.hpp"
 #include "sched/explorer.hpp"
 #include "sched/policy.hpp"
@@ -67,6 +69,11 @@ TEST(ScheduleTrace, ParseRejectsJunk) {
         "drop@1:0>1*7"}) {
     EXPECT_FALSE(ScheduleTrace::parse(junk).has_value()) << junk;
   }
+  // Any u32 party id parses, but a policy refuses one beyond the 128 ids a
+  // PartySet (and so every market) holds.
+  const auto far = ScheduleTrace::parse("drop@0:4000000000>1");
+  ASSERT_TRUE(far.has_value());
+  EXPECT_THROW(sched::ScriptedPolicy{*far}, std::logic_error);
 }
 
 // -------------------------------------------------- transcript preservation
@@ -308,6 +315,26 @@ TEST(Explorer, RespectsTheScheduleCap) {
   opts.max_schedules = 50;
   const auto report = sched::explore(base_scenario(2, 1, 0, Battery::Silent), opts);
   EXPECT_LE(report.explored, 50U);
+
+  // depth_reached counts only a depth whose wave ran a schedule. At a cap
+  // of 64 the runs are the root, 18 schedules at depth 1 and 45 at depth 2,
+  // so a depth bound of 3 reaches depth 2, as a bound of 2 does; a cap of 1
+  // runs the root alone.
+  opts.corrupt_adjacent_only = true;
+  opts.max_delay = 2;
+  opts.max_schedules = 64;
+  for (const std::size_t max_depth : {2U, 3U}) {
+    opts.max_depth = max_depth;
+    const auto capped = sched::explore(base_scenario(2, 1, 0, Battery::Silent), opts);
+    EXPECT_EQ(capped.explored, 64U) << max_depth;
+    EXPECT_TRUE(capped.truncated) << max_depth;
+    EXPECT_EQ(capped.depth_reached, 2U) << max_depth;
+  }
+  opts.max_schedules = 1;
+  const auto root_only = sched::explore(base_scenario(2, 1, 0, Battery::Silent), opts);
+  EXPECT_EQ(root_only.explored, 1U);
+  EXPECT_TRUE(root_only.truncated);
+  EXPECT_EQ(root_only.depth_reached, 0U);
 }
 
 }  // namespace

@@ -118,11 +118,6 @@ template <typename Assign>
 
 // ---------------------------------------------------------- setting flags
 
-/// The largest market size any subcommand accepts. A run hosts n^2
-/// broadcast instances (n = 2k), so a much larger k asks for tens of GB
-/// before the first round.
-constexpr std::uint64_t kMaxK = 64;
-
 /// The setting rows `run`, `explore` and `fuzz` share: one fixed cell
 /// (topology, PKI, k, tL, tR) and its workload seed. Help shows the
 /// defaults bound in `cfg` and `seed`.
@@ -143,7 +138,7 @@ void add_setting_flags(cli::Subcommand& sub, core::BsmConfig& cfg, std::uint64_t
                                 std::uint32_t& field) {
     sub.flags.push_back(bounded_flag(
         std::move(name), "N", std::move(help) + " (default: " + std::to_string(field) + ")", lo,
-        kMaxK, [&field](std::uint64_t n) { field = static_cast<std::uint32_t>(n); }));
+        core::kMaxK, [&field](std::uint64_t n) { field = static_cast<std::uint32_t>(n); }));
   };
   count_row("--k", "parties per side", 1, cfg.k);
   count_row("--tl", "corruption budget within L", 0, cfg.tl);
@@ -294,6 +289,7 @@ struct SweepCli {
   bool shard_given = false;
   bool resume = false;
   std::uint64_t checkpoint_every = 64;
+  bool checkpoint_given = false;
 
   ObsCli obs;
 };
@@ -346,8 +342,9 @@ struct SweepCli {
     std::vector<std::uint32_t> values;
     for (const auto& item : split_csv(v)) {
       const auto parsed = parse_u64(item);
-      if (!parsed || *parsed < lo || *parsed > kMaxK) {
-        return "expected comma list of " + std::to_string(lo) + ".." + std::to_string(kMaxK);
+      if (!parsed || *parsed < lo || *parsed > core::kMaxK) {
+        return "expected comma list of " + std::to_string(lo) + ".." +
+               std::to_string(core::kMaxK);
       }
       values.push_back(static_cast<std::uint32_t>(*parsed));
     }
@@ -438,8 +435,11 @@ struct SweepCli {
       "--resume", "continue an interrupted --out run from its last complete line",
       [&o] { o.resume = true; }));
   sub.flags.push_back(bounded_flag(
-      "--checkpoint-every", "N", "JSONL checkpoint period in cells (default: 64)", 1, 1'000'000,
-      [&o](std::uint64_t n) { o.checkpoint_every = n; }));
+      "--checkpoint-every", "N", "JSONL checkpoint period in cells (default: 64; requires --out)",
+      1, 1'000'000, [&o](std::uint64_t n) {
+        o.checkpoint_every = n;
+        o.checkpoint_given = true;
+      }));
   add_obs_flags(sub, o.obs, /*with_metrics=*/true, /*with_progress=*/true);
   return sub;
 }
@@ -456,8 +456,8 @@ int run_sweep_command(int argc, char** argv) {
   if (const auto code = cli::parse_flags(sweep_subcommand(o), argc, argv, 2, std::cerr)) {
     return *code;
   }
-  if (o.out_path.empty() && (o.shard_given || o.resume)) {
-    std::cerr << "sweep: --shard/--resume require --out FILE (try --help)\n";
+  if (o.out_path.empty() && (o.shard_given || o.resume || o.checkpoint_given)) {
+    std::cerr << "sweep: --shard/--resume/--checkpoint-every require --out FILE (try --help)\n";
     return 2;
   }
   if (!o.grid.ks.empty()) {
@@ -751,8 +751,9 @@ void add_search_flags(cli::Subcommand& sub, SearchCli& o, Options& opts,
 
 /// Parse a hand-supplied schedule (`run --trace`, `--replay`) for an
 /// n-party scenario: nullopt on malformed text, and on an op naming a
-/// party id >= n — the scripted policy's fault envelope would grow a
-/// bitset to cover that id (about 500 MB for an id near 2^32).
+/// party id >= n — the scenario has no such party, and the scripted
+/// policy's fault envelope would refuse an id beyond the PartySet capacity
+/// with an exception, where a bad trace should exit 2.
 [[nodiscard]] std::optional<sched::ScheduleTrace> parse_trace(const std::string& text,
                                                               std::uint32_t n) {
   auto trace = sched::ScheduleTrace::parse(text);
