@@ -13,9 +13,9 @@
 //   asserting the hot run actually hits (> 50% by construction).
 //
 //   sweep/jsonl_stream vs sweep/shard_overhead — the streaming layer
-//   (core/shard.hpp) over the same executor: jsonl_stream runs one grid
-//   as a single 1/1 JSONL stream (render + checkpoint cost over raw
-//   run_sweep), shard_overhead runs the identical grid as a 4-way shard
+//   (core/shard.hpp) on its own in-order executor: jsonl_stream runs one
+//   grid as a single 1/1 JSONL stream (execution plus render and
+//   checkpoint cost), shard_overhead runs the identical grid as a 4-way shard
 //   split executed back-to-back in-process, so its delta over
 //   jsonl_stream prices the per-shard setup, header/summary duplication,
 //   and the merge. Both assert the byte contract: the shard documents

@@ -1,10 +1,16 @@
 #include "core/shard.hpp"
 
 #include <algorithm>
+#include <array>
+#include <condition_variable>
+#include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <system_error>
+#include <thread>
 
 #include "common/codec.hpp"
 #include "common/hash.hpp"
@@ -82,31 +88,206 @@ struct BodyWalk {
   return walk;
 }
 
+/// The stream's executor. It runs cells [start, end) of the grid in grid
+/// order and keeps their results until the emitter has written them.
+///
+/// With one resolved worker it is the serial path: `complete` runs a block
+/// on the calling thread, and no thread starts. Otherwise the workers start
+/// once, take cells one at a time from a shared cursor (plain
+/// self-scheduling), and never take a cell past the end of the block after
+/// the one being emitted. So at most two checkpoint blocks of results are
+/// resident, and no worker waits at a block boundary while the next block
+/// has cells left. When a cell throws, the cursor stops, the cells already
+/// taken finish, and `complete` rethrows the lowest failing cell's exception
+/// once it reaches that cell's block.
+class StreamExecutor {
+ public:
+  StreamExecutor(const std::vector<ScenarioSpec>& cells, const StreamOptions& opts,
+                 std::size_t start, std::size_t end)
+      : cells_(cells),
+        oracle_(opts.sweep.oracle),
+        start_(start),
+        end_(end),
+        every_(std::max<std::size_t>(1, opts.checkpoint_every)),
+        cursor_(start) {
+    // The window is the block being emitted plus the next one. The first
+    // may be short (a shard that starts mid-block); every later one is two
+    // whole blocks, clipped by `end`.
+    const std::size_t first = block_end(start);
+    std::size_t window = block_end(first) - start;
+    if (first < end) window = std::max(window, block_end(block_end(first)) - first);
+    ring_.resize(window);
+    limit_ = block_end(first);
+    const unsigned workers = detail::resolve_threads(window, opts.sweep.threads);
+    arenas_.resize(workers);
+    counters_.resize(workers);
+    if (workers == 1) return;
+    pool_.reserve(workers);
+    try {
+      for (unsigned w = 0; w < workers; ++w) pool_.emplace_back([this, w] { work(w); });
+    } catch (...) {
+      stop_and_join();
+      throw;
+    }
+  }
+
+  ~StreamExecutor() { stop_and_join(); }
+  StreamExecutor(const StreamExecutor&) = delete;
+  StreamExecutor& operator=(const StreamExecutor&) = delete;
+
+  /// End of the checkpoint block holding cell `g` (clipped by the range).
+  [[nodiscard]] std::size_t block_end(std::size_t g) const {
+    return std::min(end_, (g / every_ + 1) * every_);
+  }
+
+  /// Return once every cell of the block starting at `g` has run.
+  void complete(std::size_t g) {
+    const std::size_t be = block_end(g);
+    if (pool_.empty()) {
+      obs::Recorder* const rec = obs::current();
+      const std::uint64_t t0 = rec ? rec->now_ns() : 0;
+      for (std::size_t i = g; i < be; ++i) run_cell(i, 0);
+      ++chunks_;
+      if (rec != nullptr) {
+        rec->record(obs::Span::SweepChunk, t0, rec->now_ns(), g);
+        rec->count(obs::Counter::Chunks);
+      }
+      return;
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [&] { return done_[(g / every_) % 2] == be - g || failed_ < be; });
+    if (failed_ < be) {
+      lock.unlock();
+      stop_and_join();  // a cell before the failing one may fail yet
+      std::rethrow_exception(error_);
+    }
+  }
+
+  /// Cell `i`'s result, valid from `complete` of its block until `release`.
+  [[nodiscard]] const CellResult& result(std::size_t i) const { return ring_[i % ring_.size()]; }
+
+  /// The emitter is done with the block starting at `g`: its slots go to
+  /// the block after the next.
+  void release(std::size_t g) {
+    if (pool_.empty()) return;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      done_[(g / every_) % 2] = 0;
+      limit_ = block_end(block_end(block_end(g)));
+    }
+    work_cv_.notify_all();
+  }
+
+  /// Join the workers and report the schedule shape and oracle traffic.
+  [[nodiscard]] SweepStats finish() {
+    stop_and_join();
+    SweepStats stats;
+    stats.threads = static_cast<unsigned>(arenas_.size());
+    stats.cells = end_ - start_;
+    stats.chunks = chunks_;
+    for (const auto& c : counters_) stats.oracle += c;
+    return stats;
+  }
+
+ private:
+  void run_cell(std::size_t i, unsigned w) {
+    obs::Recorder* const rec = obs::current();
+    const std::uint64_t t0 = rec ? rec->now_ns() : 0;
+    ring_[i % ring_.size()] = run_scenario(cells_[i], oracle_, &arenas_[w], &counters_[w]);
+    if (rec != nullptr) {
+      rec->record(obs::Span::SweepCell, t0, rec->now_ns(), i);
+      rec->count(obs::Counter::CellsDone);
+    }
+  }
+
+  void work(unsigned w) {
+    obs::set_thread_label(w + 1);
+    obs::Recorder* const rec = obs::current();
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+      work_cv_.wait(lock, [&] { return stop_ || cursor_ < limit_ || cursor_ == end_; });
+      if (stop_ || cursor_ == end_) break;
+      const std::size_t i = cursor_++;
+      ++chunks_;
+      lock.unlock();
+      std::exception_ptr error;
+      try {
+        const std::uint64_t t0 = rec ? rec->now_ns() : 0;
+        run_cell(i, w);
+        if (rec != nullptr) {
+          rec->record(obs::Span::SweepChunk, t0, rec->now_ns(), i);
+          rec->count(obs::Counter::Chunks);
+        }
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      const std::size_t g = std::max(start_, i / every_ * every_);
+      if (++done_[(i / every_) % 2] == block_end(g) - g) done_cv_.notify_one();
+      if (error) {
+        if (i < failed_) {
+          failed_ = i;
+          error_ = error;
+        }
+        stop_ = true;
+        done_cv_.notify_one();
+        work_cv_.notify_all();
+      }
+    }
+    lock.unlock();
+    if (rec != nullptr) rec->count(obs::Counter::IdleExits);
+  }
+
+  void stop_and_join() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    for (auto& t : pool_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  const std::vector<ScenarioSpec>& cells_;
+  OracleCache* const oracle_;
+  const std::size_t start_;
+  const std::size_t end_;
+  const std::size_t every_;
+  std::vector<CellResult> ring_;            ///< cell i's result at slot i % size
+  std::vector<SweepArena> arenas_;          ///< one per worker, for the whole stream
+  std::vector<OracleCacheStats> counters_;  ///< one per worker, folded by finish()
+  std::size_t chunks_ = 0;                  ///< cursor grabs (serial: blocks run)
+
+  std::mutex mutex_;                   ///< guards every member below
+  std::condition_variable work_cv_;    ///< workers wait for the window to open
+  std::condition_variable done_cv_;    ///< the emitter waits for its block
+  std::size_t cursor_;                 ///< next cell to hand out
+  std::size_t limit_ = 0;              ///< cells below it may be handed out
+  std::array<std::size_t, 2> done_{};  ///< finished cells per in-flight block, by parity
+  bool stop_ = false;                  ///< hand out no more cells
+  std::size_t failed_ = SIZE_MAX;      ///< lowest failing cell
+  std::exception_ptr error_;           ///< its exception
+  std::vector<std::thread> pool_;      ///< last, so joined before the state it uses goes
+};
+
 /// Execute cells [start, end) of the grid and emit their lines to `out`,
-/// one checkpoint-aligned block at a time (flushed per block, so a kill
-/// loses at most the block in flight). Updates st's emitted/ran/all_ok/
-/// digest and folds the executor accounting into st.sweep.
+/// one checkpoint-aligned block at a time, each written and flushed as soon
+/// as its last cell completes (so a kill loses at most the two blocks in
+/// flight). Updates st's emitted/ran/all_ok/digest and sets st.sweep to the
+/// executor's accounting.
 void run_blocks(const std::vector<ScenarioSpec>& cells, const StreamOptions& opts,
                 std::size_t start, std::size_t end, std::ostream& out, StreamStats& st) {
+  if (start >= end) return;
   const std::size_t every = std::max<std::size_t>(1, opts.checkpoint_every);
   obs::Recorder* const rec = obs::current();
+  StreamExecutor exec(cells, opts, start, end);
   std::size_t g = start;
   while (g < end) {
-    const std::size_t block_end = std::min(end, (g / every + 1) * every);
-    const std::vector<ScenarioSpec> block(cells.begin() + static_cast<std::ptrdiff_t>(g),
-                                          cells.begin() + static_cast<std::ptrdiff_t>(block_end));
-    SweepStats block_stats;
-    SweepOptions sweep_opts = opts.sweep;
-    sweep_opts.index_base = g;  // trace spans name global cell indices
-    const auto results = run_sweep(block, sweep_opts, &block_stats);
-    st.sweep.threads = std::max(st.sweep.threads, block_stats.threads);
-    st.sweep.cells += block_stats.cells;
-    st.sweep.chunks += block_stats.chunks;
-    st.sweep.steals += block_stats.steals;
-    st.sweep.oracle += block_stats.oracle;
+    const std::size_t block_end = exec.block_end(g);
+    exec.complete(g);
     const std::uint64_t emit_t0 = rec ? rec->now_ns() : 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const std::size_t idx = g + i;
+    for (std::size_t idx = g; idx < block_end; ++idx) {
       if (checkpoint_due(idx, every)) {
         const std::uint64_t cp_t0 = rec ? rec->now_ns() : 0;
         out << jsonl_checkpoint_line(idx) << '\n';
@@ -115,18 +296,19 @@ void run_blocks(const std::vector<ScenarioSpec>& cells, const StreamOptions& opt
           rec->count(obs::Counter::Checkpoints);
         }
       }
-      const std::string line = jsonl_cell_line(idx, results[i]);
+      const CellResult& result = exec.result(idx);
+      const std::string line = jsonl_cell_line(idx, result);
       out << line << '\n';
       st.digest = hash_combine(st.digest, line_digest(line));
       ++st.emitted;
-      if (results[i].outcome.has_value()) {
+      if (result.outcome.has_value()) {
         ++st.ran;
-        st.all_ok &= results[i].outcome->report.all();
+        st.all_ok &= result.outcome->report.all();
       }
     }
     if (rec != nullptr) {
       rec->record(obs::Span::ShardEmit, emit_t0, rec->now_ns(), g);
-      rec->count(obs::Counter::CellsEmitted, results.size());
+      rec->count(obs::Counter::CellsEmitted, block_end - g);
     }
     const std::uint64_t flush_t0 = rec ? rec->now_ns() : 0;
     out.flush();
@@ -134,8 +316,17 @@ void run_blocks(const std::vector<ScenarioSpec>& cells, const StreamOptions& opt
       rec->record(obs::Span::ShardFlush, flush_t0, rec->now_ns(), g);
       rec->count(obs::Counter::Flushes);
     }
+    exec.release(g);
     g = block_end;
   }
+  st.sweep = exec.finish();
+}
+
+/// The stream hands cells out in grid order from one cursor, so the
+/// sweep's schedule knobs have nothing to select.
+void require_stream_options(const StreamOptions& opts) {
+  require(opts.sweep.schedule == Schedule::WorkStealing && opts.sweep.chunk_cells == 0,
+          "stream_sweep: SweepOptions::schedule and chunk_cells must keep their defaults");
 }
 
 // ------------------------------------------------- merge field extraction
@@ -395,6 +586,7 @@ std::string jsonl_summary_line(std::size_t cells, std::size_t ran, bool all_ok) 
 
 StreamStats stream_sweep(const std::vector<ScenarioSpec>& cells, const StreamOptions& opts,
                          std::ostream& out) {
+  require_stream_options(opts);
   StreamStats st;
   const std::size_t every = std::max<std::size_t>(1, opts.checkpoint_every);
   const auto [begin, end] = opts.shard.range(cells.size());
@@ -409,6 +601,7 @@ StreamStats stream_sweep(const std::vector<ScenarioSpec>& cells, const StreamOpt
 FileStreamResult stream_sweep_file(const std::vector<ScenarioSpec>& cells,
                                    const StreamOptions& opts, const std::string& path,
                                    bool resume) {
+  require_stream_options(opts);
   FileStreamResult res;
   const std::size_t every = std::max<std::size_t>(1, opts.checkpoint_every);
   const auto [begin, end] = opts.shard.range(cells.size());

@@ -7,8 +7,8 @@
 // the same partition, keyed by a canonical grid digest so mismatched grids
 // are rejected instead of silently merged), executes one shard per
 // process, and streams results as JSONL — one self-contained line per
-// cell, written in grid order, so a shard's resident result set is one
-// checkpoint block instead of the whole grid.
+// cell, written in grid order, so a shard's resident result set is at most
+// two checkpoint blocks instead of the whole grid.
 //
 // The determinism bar is strict and byte-level: the merged output of any
 // complete shard set is bit-for-bit identical to the single-process
@@ -106,14 +106,18 @@ struct ShardSpec {
 struct StreamOptions {
   ShardSpec shard;                    ///< which slice of the grid to run
   std::size_t checkpoint_every = 64;  ///< global-index checkpoint period (>= 1)
-  SweepOptions sweep;                 ///< threads / schedule / oracle for execution
+  /// The stream reads `threads` and `oracle` only. It hands cells out in
+  /// grid order from one cursor, so `schedule` and `chunk_cells` must keep
+  /// their defaults (stream_sweep throws std::logic_error otherwise).
+  SweepOptions sweep;
 };
 
 /// What one streaming run did. `cells`/`ran`/`all_ok` cover the whole
 /// shard (including lines kept by --resume); `emitted`/`resumed` split it
 /// into executed-now vs already-on-disk; `digest` folds the emitted cell
-/// lines' bytes (the bench determinism hook); `sweep` accumulates the
-/// executor's schedule/oracle accounting over all checkpoint blocks.
+/// lines' bytes (the bench determinism hook); `sweep` is the executor's
+/// accounting: its workers, the cells it ran, its cursor grabs as `chunks`
+/// (one per block on the serial path), `steals` 0, and the oracle traffic.
 struct StreamStats {
   std::size_t cells = 0;
   std::size_t ran = 0;
@@ -125,11 +129,15 @@ struct StreamStats {
 };
 
 /// Stream the complete shard document for `cells` to `out`: header, cell
-/// lines in grid order with periodic checkpoints, summary. Execution is
-/// parallel inside each checkpoint block (run_sweep over the block's
-/// cells) but only one block of results is ever resident — O(1) in the
-/// grid size. The written bytes are independent of opts.sweep (threads,
-/// schedule, chunking, cache): that is the determinism bar, asserted by
+/// lines in grid order with periodic checkpoints, summary. With more than
+/// one thread, workers start once per call and take cells in grid order
+/// from one shared cursor, never more than one block past the block being
+/// written, so at most two checkpoint blocks of results are resident —
+/// O(1) in the grid size. Each block is written and flushed as soon as its
+/// last cell completes. A cell that throws stops the cursor: every block
+/// before its block is still written and flushed, then the exception is
+/// rethrown here. The written bytes are independent of the thread count
+/// and the cache: that is the determinism bar, asserted by
 /// tests/shard_test.cpp.
 StreamStats stream_sweep(const std::vector<ScenarioSpec>& cells, const StreamOptions& opts,
                          std::ostream& out);

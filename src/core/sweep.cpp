@@ -247,13 +247,13 @@ std::vector<CellResult> run_sweep(const std::vector<ScenarioSpec>& cells, SweepO
   std::vector<OracleCacheStats> counters(workers);
 
   SweepStats local = detail::parallel_for_workers(
-      cells.size(), {opts.threads, opts.schedule, opts.chunk_cells, opts.index_base},
+      cells.size(), {opts.threads, opts.schedule, opts.chunk_cells},
       [&](std::size_t i, unsigned worker) {
         obs::Recorder* const rec = obs::current();
         const std::uint64_t t0 = rec ? rec->now_ns() : 0;
         results[i] = run_scenario(cells[i], opts.oracle, &arenas[worker], &counters[worker]);
         if (rec != nullptr) {
-          rec->record(obs::Span::SweepCell, t0, rec->now_ns(), opts.index_base + i);
+          rec->record(obs::Span::SweepCell, t0, rec->now_ns(), i);
           rec->count(obs::Counter::CellsDone);
         }
       });

@@ -68,11 +68,6 @@ struct SweepOptions {
   /// process-wide cache; nullptr runs every cell against the closed-form
   /// oracle directly (the uncached baseline).
   OracleCache* oracle = &OracleCache::global();
-
-  /// Observability only: offset added to local cell indices in recorder
-  /// spans, so sharded/blocked sweeps trace *global* cell indices. Never
-  /// affects scheduling or results.
-  std::size_t index_base = 0;
 };
 
 /// What one run_sweep() (or run_cells()) execution did, beyond its results:
@@ -96,7 +91,9 @@ struct ForOptions {
   unsigned threads = 0;
   Schedule schedule = Schedule::WorkStealing;
   std::size_t chunk_cells = 0;
-  std::size_t index_base = 0;  ///< observability-only span-arg offset
+  /// Observability only: added to the `sweep/chunk` span args, so a caller
+  /// that runs a grid one slice at a time traces global cell indices.
+  std::size_t index_base = 0;
 };
 
 /// The resolved worker count `parallel_for_workers` will use for `count`
@@ -127,7 +124,7 @@ template <typename Cell, typename Fn>
                 "std::vector<bool> bits; return int instead");
   std::vector<Result> results(cells.size());
   (void)detail::parallel_for_workers(
-      cells.size(), {opts.threads, opts.schedule, opts.chunk_cells, opts.index_base},
+      cells.size(), {opts.threads, opts.schedule, opts.chunk_cells},
       [&](std::size_t i, unsigned) { results[i] = fn(cells[i]); });
   return results;
 }

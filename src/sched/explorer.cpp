@@ -158,6 +158,7 @@ class Search {
 }  // namespace
 
 ExplorerReport explore(const core::ScenarioSpec& scenario, const ExplorerOptions& options) {
+  require(options.max_schedules >= 1, "sched::explore: max_schedules counts the root run, >= 1");
   Search search(scenario, options);
   return search.run();
 }

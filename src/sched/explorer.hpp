@@ -54,11 +54,12 @@ struct ExplorerOptions {
   /// protocol's tolerance (how the counterexample machinery is tested).
   bool corrupt_adjacent_only = true;
 
-  /// Hard cap on exploration runs (counterexample minimization adds at
-  /// most |ops| + distinct-op-rounds + 1 verification runs on top,
-  /// reported as shrink_runs). Deterministic truncation: generation
-  /// order is canonical, so the same prefix is explored at any thread
-  /// count.
+  /// Hard cap on exploration runs, the unperturbed root run included, so
+  /// at least 1 (explore() throws std::logic_error below it).
+  /// Counterexample minimization adds at most |ops| + distinct-op-rounds
+  /// + 1 verification runs on top, reported as shrink_runs. Deterministic
+  /// truncation: generation order is canonical, so the same prefix is
+  /// explored at any thread count.
   std::size_t max_schedules = 4096;
 
   unsigned threads = 0;  ///< per-wave run_cells fan-out; 0 = hardware

@@ -38,6 +38,7 @@ Fuzzer::Fuzzer(const core::ScenarioSpec& scenario, FuzzerOptions options)
       opts_(std::move(options)),
       resolved_(detail::search_protocol(scenario_, "sched::Fuzzer")),
       envelope_(detail::search_envelope(scenario_, opts_.corrupt_adjacent_only)) {
+  require(opts_.max_execs >= 1, "sched::Fuzzer: max_execs counts the root run, >= 1");
   envelope_.max_delay = opts_.allow_delay ? std::max<Round>(opts_.max_delay, 1) : 0;
   envelope_.omission_budget = opts_.allow_drop ? opts_.omission_budget : 0;
 

@@ -63,7 +63,9 @@ struct FuzzerOptions {
   std::uint64_t seed = 1;
 
   /// Total simulation budget: root + corpus-seed evaluations + mutated
-  /// candidates (shrink re-runs are extra, reported as shrink_runs).
+  /// candidates (shrink re-runs are extra, reported as shrink_runs). The
+  /// root always runs, so at least 1 (the constructor throws
+  /// std::logic_error below it).
   std::size_t max_execs = 2048;
 
   /// Candidates generated per run_cells() wave.

@@ -120,7 +120,10 @@ TEST(CliContract, BadValuesExitTwo) {
         "bench --filter '^no_such_group/'",
         // A wave fans out on up to --threads OS threads: bounded like
         // sweep's and bench's.
-        "explore --threads 1025 --max-schedules 1", "fuzz --threads 1025 --max-execs 1"}) {
+        "explore --threads 1025 --max-schedules 1", "fuzz --threads 1025 --max-execs 1",
+        // The root run always happens, so a cap below 1 could not hold.
+        "explore --k 2 --tl 1 --tr 0 --max-schedules 0",
+        "fuzz --k 2 --tl 1 --tr 0 --max-execs 0"}) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.exit_code, 2) << args;
   }
@@ -325,6 +328,26 @@ TEST(CliContract, SweepShardAndResumeRequireOut) {
     EXPECT_NE(result.output.find("--out"), std::string::npos)
         << "'" << args << "' must point at --out; got: " << result.output;
   }
+}
+
+TEST(CliContract, SweepScheduleRefusesOut) {
+  // The stream takes cells in grid order from one cursor, so --schedule
+  // has nothing to pick there: refused before any file is written.
+  const fs::path dir = fs::temp_directory_path() / "bsm_cli_contract_schedule";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string out = (dir / "out.jsonl").string();
+  for (const char* schedule : {"static", "stealing"}) {
+    const auto result = run_cli("sweep --k 2 --seeds 1 --battery silent --out " + out +
+                                " --schedule " + schedule);
+    EXPECT_EQ(result.exit_code, 2) << schedule;
+    for (const char* flag : {"--schedule", "--out"}) {
+      EXPECT_NE(result.output.find(flag), std::string::npos)
+          << schedule << ": the error must name " << flag << "; got: " << result.output;
+    }
+    EXPECT_FALSE(fs::exists(out)) << schedule;
+  }
+  fs::remove_all(dir);
 }
 
 TEST(CliContract, MergeWithNoInputsExitsTwo) {

@@ -228,6 +228,17 @@ TEST(FuzzDeterminism, RefusesNonSynchronousScenarios) {
   EXPECT_THROW(Fuzzer(scenario, FuzzerOptions{}), std::logic_error);
 }
 
+TEST(FuzzDeterminism, BudgetCountsTheRootRun) {
+  FuzzerOptions opts;
+  opts.max_execs = 1;
+  Fuzzer root_only(base_scenario(2, 1, 0, Battery::Silent), opts);
+  EXPECT_EQ(root_only.run().execs, 1U);
+
+  // The root always runs, so a budget of 0 could not hold: refused.
+  opts.max_execs = 0;
+  EXPECT_THROW(Fuzzer(base_scenario(2, 1, 0, Battery::Silent), opts), std::logic_error);
+}
+
 // ---------------------------------------------------- corpus persistence
 
 TEST(FuzzCorpus, SaveLoadRoundTripsAndDedups) {

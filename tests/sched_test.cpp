@@ -335,6 +335,11 @@ TEST(Explorer, RespectsTheScheduleCap) {
   EXPECT_EQ(root_only.explored, 1U);
   EXPECT_TRUE(root_only.truncated);
   EXPECT_EQ(root_only.depth_reached, 0U);
+
+  // The root always runs, so a cap of 0 could not hold: refused.
+  opts.max_schedules = 0;
+  EXPECT_THROW((void)sched::explore(base_scenario(2, 1, 0, Battery::Silent), opts),
+               std::logic_error);
 }
 
 }  // namespace

@@ -8,12 +8,17 @@
 //     any shard count and any thread count.
 //  3. Crash/resume — a file truncated at ANY byte and rerun with resume
 //     converges to the uninterrupted bytes.
+//  4. Execution — the stream's bytes are the same at any thread count and
+//     checkpoint period, each block is flushed on its own, and a failing
+//     cell still lets every earlier block out before its exception does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 
 #include "core/oracle.hpp"
 #include "core/shard.hpp"
@@ -33,6 +38,30 @@ namespace fs = std::filesystem;
   grid.seeds = {1, 2};
   grid.batteries = {Battery::Silent, Battery::Liars};
   return grid.cells();
+}
+
+/// 80 cells: k = 2 cells from shard_grid(), except that heavy k = 5 liars
+/// cells close blocks. Cells 4, 9, 29, 44 and 79 end 5-cell blocks and
+/// cell 63 ends the first 64-cell block, so a worker that waited at a
+/// block boundary would sit behind them.
+[[nodiscard]] std::vector<ScenarioSpec> skewed_stream_grid() {
+  SweepGrid heavy;
+  heavy.topologies = {net::TopologyKind::FullyConnected};
+  heavy.auths = {true};
+  heavy.ks = {5};
+  heavy.tls = {2};
+  heavy.trs = {2};
+  heavy.seeds = {1, 2, 3, 4, 5, 6};
+  heavy.batteries = {Battery::Liars};
+  const auto heavy_cells = heavy.cells();
+  const auto light_cells = shard_grid();
+  std::vector<ScenarioSpec> cells;
+  std::size_t next_heavy = 0;
+  for (std::size_t i = 0; i < 80; ++i) {
+    const bool heavy_end = i == 4 || i == 9 || i == 29 || i == 44 || i == 63 || i == 79;
+    cells.push_back(heavy_end ? heavy_cells.at(next_heavy++) : light_cells.at(i));
+  }
+  return cells;
 }
 
 /// Stream one shard to a string with its own oracle (each shard acts as a
@@ -136,6 +165,133 @@ TEST(Shard, MergedShardsAreByteIdenticalToSingleProcessAtAnyShardAndThreadCount)
     const auto merged = merge_jsonl(docs, &error);
     ASSERT_TRUE(merged.has_value()) << "n=" << n << ": " << error;
     EXPECT_EQ(*merged, single) << "merged " << n << "-way split diverged from 1/1";
+  }
+}
+
+TEST(Shard, StreamBytesAreIdenticalAtAnyThreadCountAndPeriod) {
+  const auto cells = skewed_stream_grid();
+  // Shards 2/3 = [27, 54) and 3/3 = [54, 80) start mid-block at periods 5
+  // and 64, so the executor's first window holds a partial block.
+  for (const std::size_t every : {std::size_t{1}, std::size_t{5}, std::size_t{64}}) {
+    for (const ShardSpec shard : {ShardSpec{1, 1}, ShardSpec{2, 3}, ShardSpec{3, 3}}) {
+      const std::string serial = stream_to_string(cells, shard, /*threads=*/1, every);
+      ASSERT_FALSE(serial.empty());
+      for (const unsigned threads : {2U, 3U, 4U, 8U}) {
+        EXPECT_EQ(stream_to_string(cells, shard, threads, every), serial)
+            << "shard " << shard.str() << ", every " << every << ", threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(Shard, AFailingCellLetsEveryEarlierBlockOutThenRethrows) {
+  // Cells 0-69 are valid; cell 70 asks for k = 65, which assemble_run
+  // refuses (above core::kMaxK). Cells 61-63 are heavy k = 8 runs, so at 4
+  // threads cell 70 fails while block [0, 64) is still running. Block
+  // [64, 71) is never written, but block [0, 64) is, before the exception
+  // reaches the calling thread.
+  auto cells = shard_grid();
+  cells.resize(70);
+  SweepGrid heavy;
+  heavy.topologies = {net::TopologyKind::Bipartite};
+  heavy.auths = {true};
+  heavy.ks = {8};
+  heavy.tls = {2};
+  heavy.trs = {2};
+  heavy.seeds = {1, 2, 3};
+  heavy.batteries = {Battery::Liars};
+  const auto heavy_cells = heavy.cells();
+  std::copy(heavy_cells.begin(), heavy_cells.end(), cells.begin() + 61);
+  ScenarioSpec too_big;
+  too_big.config.k = 65;
+  cells.push_back(too_big);
+  for (const unsigned threads : {1U, 4U}) {
+    OracleCache cache;
+    StreamOptions opts;
+    opts.checkpoint_every = 64;
+    opts.sweep.threads = threads;
+    opts.sweep.oracle = &cache;
+    std::ostringstream out;
+    EXPECT_THROW((void)stream_sweep(cells, opts, out), std::logic_error) << threads;
+    const std::string doc = out.str();
+    EXPECT_EQ(std::count(doc.begin(), doc.end(), '\n'), 65) << threads << " threads:\n" << doc;
+    const std::string cell_63 = "{\"type\": \"cell\", \"cell\": 63, ";
+    EXPECT_EQ(doc.compare(doc.rfind('\n', doc.size() - 2) + 1, cell_63.size(), cell_63), 0)
+        << threads << " threads: the document must end with cell 63";
+  }
+}
+
+/// A stream buffer that keeps the bytes and notes where each sync (each
+/// ostream flush) fell in them.
+class SyncLog : public std::streambuf {
+ public:
+  std::string text;
+  std::vector<std::size_t> syncs;  ///< text.size() at each sync
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      text.push_back(traits_type::to_char_type(ch));
+    }
+    return traits_type::not_eof(ch);
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    text.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int sync() override {
+    syncs.push_back(text.size());
+    return 0;
+  }
+};
+
+TEST(Shard, StreamFlushesEveryBlockAtItsBoundaryAndOnceAtTheEnd) {
+  const auto cells = skewed_stream_grid();
+  const ShardSpec shard{3, 3};  // [54, 80): a partial block, then five whole ones
+  const std::size_t every = 5;
+  for (const unsigned threads : {1U, 4U}) {
+    SyncLog log;
+    std::ostream out(&log);
+    OracleCache cache;
+    StreamOptions opts;
+    opts.shard = shard;
+    opts.checkpoint_every = every;
+    opts.sweep.threads = threads;
+    opts.sweep.oracle = &cache;
+    (void)stream_sweep(cells, opts, out);
+
+    // One sync right after each block's last cell line, then one after
+    // the summary.
+    std::vector<std::size_t> expected;
+    const auto [begin, end] = shard.range(cells.size());
+    for (std::size_t g = begin; g < end; g = std::min(end, (g / every + 1) * every)) {
+      const std::size_t last = std::min(end, (g / every + 1) * every) - 1;
+      const std::string line = "{\"type\": \"cell\", \"cell\": " + std::to_string(last) + ", ";
+      const auto at = log.text.find(line);
+      ASSERT_NE(at, std::string::npos) << last;
+      expected.push_back(log.text.find('\n', at) + 1);
+    }
+    expected.push_back(log.text.size());
+    EXPECT_EQ(expected.size(), 7U);
+    EXPECT_EQ(log.syncs, expected) << threads << " threads";
+  }
+}
+
+TEST(Shard, StreamRefusesTheSweepScheduleKnobs) {
+  // The stream takes cells in grid order from one cursor: a schedule or a
+  // chunk size would be ignored, so it is refused instead.
+  const auto cells = shard_grid();
+  const fs::path file = scratch_dir("knobs") / "shard.jsonl";
+  StreamOptions static_opts;
+  static_opts.sweep.schedule = Schedule::Static;
+  StreamOptions chunked_opts;
+  chunked_opts.sweep.chunk_cells = 4;
+  for (const StreamOptions& opts : {static_opts, chunked_opts}) {
+    std::ostringstream out;
+    EXPECT_THROW((void)stream_sweep(cells, opts, out), std::logic_error);
+    EXPECT_TRUE(out.str().empty());
+    EXPECT_THROW((void)stream_sweep_file(cells, opts, file.string(), false), std::logic_error);
+    EXPECT_FALSE(fs::exists(file));
   }
 }
 

@@ -282,6 +282,7 @@ struct SweepCli {
   std::uint64_t sched_seeds = 1;
   sched::PolicyDesc sched_base;
   core::SweepOptions opts;
+  bool schedule_given = false;
 
   // Streaming surface (core/shard.hpp); active iff --out is given.
   std::string out_path;
@@ -300,10 +301,10 @@ struct SweepCli {
   sub.summary = "run a scenario grid in parallel, emit JSON (or JSONL shards) on stdout";
   sub.intro =
       "enumerates the cartesian grid over every axis below and runs\n"
-      "each cell on a work-stealing thread pool. Default output: one inline JSON\n"
-      "document on stdout with per-cell outcomes, aggregate totals, the scheduler\n"
-      "shape, and the oracle-cache counters. With --out FILE.jsonl the results\n"
-      "stream to FILE as JSONL — one line per cell in deterministic grid order\n"
+      "each cell on a thread pool. Default output: one inline JSON document on\n"
+      "stdout with per-cell outcomes, aggregate totals, the scheduler shape, and\n"
+      "the oracle-cache counters. With --out FILE.jsonl the workers take cells in\n"
+      "grid order and the results stream to FILE as JSONL — one line per cell\n"
       "with periodic checkpoint records — and stdout gets a JSON summary report;\n"
       "--shard i/N runs one contiguous shard of the grid, and --resume continues\n"
       "a killed run from its last complete line. Merged shard outputs are\n"
@@ -404,8 +405,11 @@ struct SweepCli {
       "--threads", "N", "worker threads, 0 = hardware (default: 0)", 0, 1024,
       [&o](std::uint64_t n) { o.opts.threads = static_cast<unsigned>(n); }));
   sub.flags.push_back(cli::value_flag(
-      "--schedule", "KIND", "cell scheduler: stealing|static (default: stealing)",
+      "--schedule", "KIND",
+      "inline report's cell scheduler: stealing|static (default: stealing;\n"
+      "                        not with --out, which takes cells in grid order)",
       [&o](const std::string& v) -> std::optional<std::string> {
+        o.schedule_given = true;
         if (v == "stealing") {
           o.opts.schedule = core::Schedule::WorkStealing;
         } else if (v == "static") {
@@ -458,6 +462,11 @@ int run_sweep_command(int argc, char** argv) {
   }
   if (o.out_path.empty() && (o.shard_given || o.resume || o.checkpoint_given)) {
     std::cerr << "sweep: --shard/--resume/--checkpoint-every require --out FILE (try --help)\n";
+    return 2;
+  }
+  if (!o.out_path.empty() && o.schedule_given) {
+    std::cerr << "sweep: --schedule picks the inline report's scheduler; --out takes cells in "
+                 "grid order (drop --schedule or --out)\n";
     return 2;
   }
   if (!o.grid.ks.empty()) {
@@ -842,7 +851,7 @@ struct ExploreCli : SearchCli {
                     1'000'000,
                     [&o](std::uint64_t n) { o.opts.max_depth = static_cast<std::uint32_t>(n); })},
       {bounded_flag(
-          "--max-schedules", "N", "cap on exploration runs (default: 4096)", 0, 1'000'000,
+          "--max-schedules", "N", "cap on runs, root run included (default: 4096)", 1, 1'000'000,
           [&o](std::uint64_t n) { o.opts.max_schedules = static_cast<std::uint32_t>(n); })});
   add_obs_flags(sub, o.obs, /*with_metrics=*/true, /*with_progress=*/false);
   return sub;
@@ -912,7 +921,7 @@ struct FuzzCli : SearchCli {
       sub, o, o.opts,
       {bounded_flag("--fuzz-seed", "S", "mutation/selection rng seed (default: 1)", 0, 1'000'000,
                     [&o](std::uint64_t n) { o.opts.seed = n; }),
-       bounded_flag("--max-execs", "N", "total simulation budget (default: 2048)", 0, 1'000'000,
+       bounded_flag("--max-execs", "N", "run budget, root included (default: 2048)", 1, 1'000'000,
                     [&o](std::uint64_t n) { o.opts.max_execs = static_cast<std::uint32_t>(n); }),
        bounded_flag("--batch", "N", "candidates per parallel wave (default: 32)", 1, 1'000'000,
                     [&o](std::uint64_t n) { o.opts.batch = static_cast<std::uint32_t>(n); }),
